@@ -55,7 +55,7 @@ from .perturbation import (
     random_perturbation,
     transfer,
 )
-from .rational import ONE, ZERO, Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .rng import SplitRng
 from .sparse import LinearMap, matrix_of
 from .todd import (
@@ -120,9 +120,6 @@ __all__ = [
     "random_contraction",
     "random_perturbation",
     "transfer",
-    "ONE",
-    "ZERO",
-    "Rational",
     "format_rational",
     "parse_rational",
     "SplitRng",

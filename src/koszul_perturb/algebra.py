@@ -92,6 +92,9 @@ def end_degree(key) -> int:
 
 
 class GradedElement:
+    """Sparse {key: Fraction} element; the constructor drops zero coefficients,
+    so builders may accumulate into a plain dict and leave cancellations in."""
+
     __slots__ = ("config", "terms", "truncated")
 
     def __init__(self, config: ModelConfig, terms=None, truncated: bool = False):
@@ -148,11 +151,7 @@ class GradedElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return GradedElement(self.config, out, self.truncated or other.truncated)
 
     def sub(self, other) -> "GradedElement":
@@ -208,11 +207,7 @@ class GradedElement:
                     sign = -sign
                 sign *= shuffle_sign(w1, w2) * shuffle_sign(a1, a2) * shuffle_sign(b1, b2)
                 key = (w1 | w2, tuple(sorted(s1 + s2)), a1 | a2, b1 | b2)
-                nc = out.get(key, 0) + sign * c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + sign * c1 * c2
         return GradedElement(cfg, out, truncated)
 
     def __mul__(self, other):
@@ -224,17 +219,10 @@ class GradedElement:
         return self.scale(other)
 
     # -- inspection -----------------------------------------------------
-    def max_sym_degree(self) -> int:
-        return max((len(k[1]) for k in self.terms), default=0)
-
     def restrict(self, pred) -> "GradedElement":
         return GradedElement(
             self.config, {k: c for k, c in self.terms.items() if pred(k)}, self.truncated
         )
-
-    def homogeneous_parity(self):
-        ps = {key_parity(k) for k in self.terms}
-        return ps.pop() if len(ps) == 1 else None
 
     def __repr__(self):
         if not self.terms:
@@ -292,11 +280,7 @@ def interior_product(omega: GradedElement, eta: GradedElement) -> GradedElement:
                     sign = -sign
                 rem &= ~(1 << (i - 1))
             key = (wx | wy, (), 0, rem)
-            nc = out.get(key, 0) + sign * cx * cy
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + sign * cx * cy
     return GradedElement(cfg, out, omega.truncated or eta.truncated)
 
 
@@ -309,6 +293,28 @@ def sym_words(d: int, m: int):
     for deg in range(m + 1):
         words.extend(combinations_with_replacement(range(1, d + 1), deg))
     return tuple(words)
+
+
+class Basis:
+    """Totally ordered monomial basis of a subspace spanned by `keys`."""
+
+    __slots__ = ("config", "keys", "index")
+
+    def __init__(self, config: ModelConfig, keys):
+        self.config = config
+        self.keys = tuple(sorted(keys))
+        self.index = {k: i for i, k in enumerate(self.keys)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.keys)
+
+    def element(self, key) -> GradedElement:
+        return GradedElement(self.config, {key: 1})
+
+    def truncation_safe_indices(self):
+        """Basis positions with symmetric degree < m (one raise stays exact)."""
+        return tuple(i for i, k in enumerate(self.keys) if len(k[1]) < self.config.m)
 
 
 # -- serialization ------------------------------------------------------

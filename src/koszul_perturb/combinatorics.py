@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .rational import Rational
 from .todd import bernoulli
 
 
@@ -66,7 +65,7 @@ def erased_compositions(parts) -> list[Composition]:
     return out
 
 
-def reciprocal_product(c: Composition) -> Rational:
+def reciprocal_product(c: Composition) -> Fraction:
     """R(c) = Π_i 1/c_i."""
     acc = Fraction(1)
     for p in c.parts:
@@ -74,7 +73,7 @@ def reciprocal_product(c: Composition) -> Rational:
     return acc
 
 
-def prefix_reciprocal_product(c: Composition) -> Rational:
+def prefix_reciprocal_product(c: Composition) -> Fraction:
     """RS(c) = Π_i 1/(c_1 + … + c_i)."""
     acc = Fraction(1)
     run = 0
@@ -84,7 +83,7 @@ def prefix_reciprocal_product(c: Composition) -> Rational:
     return acc
 
 
-def lemma_frac_check(parts) -> tuple[Rational, Rational]:
+def lemma_frac_check(parts) -> tuple[Fraction, Fraction]:
     """Both sides of Σ_c RS(c) = (1/k!)·Σ_c R(c) over the partition's compositions."""
     comps = compositions_of_partition(parts)
     k = comps[0].k
@@ -93,7 +92,7 @@ def lemma_frac_check(parts) -> tuple[Rational, Rational]:
     return Fraction(lhs), Fraction(rhs)
 
 
-def bernoulli_recursion_check(n: int) -> tuple[Rational, Rational]:
+def bernoulli_recursion_check(n: int) -> tuple[Fraction, Fraction]:
     """Both sides of Σ_{i=1}^{n−1} C(2n,2i)·B_{2i}·B_{2n−2i} = −(2n+1)·B_{2n}."""
     if n < 2:
         raise ValueError("recursion needs n ≥ 2")

@@ -126,16 +126,6 @@ def wedge_generator_value(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
     return acc
 
 
-def r_tilde_tensor(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
-    """R̃ as a ⊗V-marked tensor in W ⊗ S²V∨ ⊗ V (no wedge slot)."""
-    acc = GradedElement.zero(cfg)
-    for (w, i, j, k), c in r.entries:
-        acc = acc.add(
-            GradedElement.monomial(cfg, 1 << (w - 1), (i, j), 0, 1 << (k - 1)).scale(c)
-        )
-    return acc
-
-
 def extend_sym_derivation(values: dict[int, GradedElement], cfg: ModelConfig) -> Operator:
     """Odd derivation with the given values on symmetric generators, zero on
     wedge generators and on ΛW."""
@@ -263,6 +253,34 @@ def build_connection(
     return cc
 
 
+def square_sums(cc: ConnectionComponents) -> list:
+    """Nonzero integrability sums Σ_{i+j=n} 𝕂^i 𝕂^j (i, j ≥ 0) on the generators.
+
+    Returns (tag, n, sum) for every generator, tagged "v" (v_k) or "vbar"
+    (v̄_k), and every order 1 ≤ n ≤ 2·max_order whose sum is nonzero.  An
+    order where some cell 𝕂^i 𝕂^j truncates is skipped: its sum is not exact.
+    """
+    cfg, mo = cc.config, cc.max_order
+    gens = [("v", GradedElement.s_gen(cfg, k)) for k in range(1, cfg.d + 1)]
+    gens += [("vbar", GradedElement.a_gen(cfg, k)) for k in range(1, cfg.d + 1)]
+    out = []
+    for tag, gen in gens:
+        for n in range(1, 2 * mo + 1):
+            acc = GradedElement.zero(cfg)
+            for i in range(max(0, n - mo), min(mo, n) + 1):
+                y = cc.components[n - i](gen)
+                if y.truncated:
+                    break
+                z = cc.components[i](y)
+                if z.truncated:
+                    break
+                acc = acc.add(z)
+            else:
+                if not acc.is_zero():
+                    out.append((tag, n, acc))
+    return out
+
+
 def first_order_part(g: GradedElement, k: int) -> GradedElement:
     """Component of a generator value in Λ^kW ⊗ S^{≤1}V∨ ⊗ ∧^kV∨ ⊗ V."""
     return g.restrict(
@@ -322,29 +340,3 @@ def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
                 entry.mul(GradedElement.s_gen(cfg, i + 1)).mul(GradedElement.b_gen(cfg, j + 1))
             )
     return out
-
-
-# -- the obstruction composite -------------------------------------------------
-
-def gamma_compose(
-    a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction], u_dim: int
-) -> dict[tuple, Fraction]:
-    """Contraction of A ∈ W⊗U∨⊗S²V∨ against B ∈ W⊗U⊗End(V∨) over the U slots.
-
-    A keys: (w, u, i, j) with i ≤ j; B keys: (w, u, k, l) meaning v_k ↦ v_l.
-    Output keys: (w₁, w₂, i, j, k, l) with w₁ < w₂ (wedged W slots; the
-    antisymmetric coefficient carries the sign).
-    """
-    out: dict[tuple, Fraction] = {}
-    for (w1, u1, i, j), ca in a.items():
-        if not 1 <= u1 <= u_dim:
-            raise ValueError("A has a U index out of range")
-        for (w2, u2, k, l), cb in b.items():
-            if not 1 <= u2 <= u_dim:
-                raise ValueError("B has a U index out of range")
-            if u1 != u2 or w1 == w2:
-                continue
-            sign = 1 if w1 < w2 else -1
-            key = (min(w1, w2), max(w1, w2), i, j, k, l)
-            out[key] = out.get(key, Fraction(0)) + sign * ca * cb
-    return {k: v for k, v in out.items() if v}

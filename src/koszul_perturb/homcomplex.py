@@ -16,9 +16,8 @@ because each double step moves the ∧V degree strictly monotonically; the
 hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 """
 
-from .algebra import GradedElement, ModelConfig, bits, key_parity, sym_words, shuffle_sign
+from .algebra import Basis, GradedElement, ModelConfig, bits, sym_words, shuffle_sign
 from .koszul import (
-    KoszulSpace,
     _below,
     _dk_check_terms,
     _dk_terms,
@@ -73,11 +72,7 @@ def apply_end(f: GradedElement, x: GradedElement) -> GradedElement:
                 sign = -sign
             sign *= shuffle_sign(wf, wx)
             key = (wf | wx, tuple(sorted(sf + sx)), A, 0)
-            nc = out.get(key, 0) + sign * base * cx
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + sign * base * cx
     return GradedElement(cfg, out, truncated)
 
 
@@ -93,28 +88,20 @@ def tensorize(op, cfg: ModelConfig) -> GradedElement:
             if b:
                 raise ValueError("operator image must lie in K_Tot")
             key = (w, s, a, c_mask)
-            nc = out.get(key, 0) + eps * c
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + eps * c
     return GradedElement(cfg, out, truncated)
 
 
-def end_matrix(f: GradedElement, space: KoszulSpace) -> LinearMap:
+def end_matrix(f: GradedElement, space: Basis) -> LinearMap:
     """Matrix of apply_end(f, −) on the K_Tot basis (truncation losses allowed)."""
     cols = {}
     for j, key in enumerate(space.keys):
         y = apply_end(f, space.element(key))
-        col = {}
-        for k, c in y.terms.items():
-            col[space.index[k]] = c
-        if col:
-            cols[j] = col
+        cols[j] = {space.index[k]: c for k, c in y.terms.items()}
     return LinearMap(space.dim, space.dim, cols)
 
 
-def matrix_callable(M: LinearMap, space: KoszulSpace):
+def matrix_callable(M: LinearMap, space: Basis):
     """Wrap a K_Tot matrix as a GradedElement endo-function."""
 
     def op(x: GradedElement) -> GradedElement:
@@ -156,11 +143,6 @@ def d_hom(f: GradedElement) -> GradedElement:
     return GradedElement(cfg, out, truncated)
 
 
-def p_k_end(f: GradedElement) -> GradedElement:
-    """P_K ⊗ 1 on tensors (prefactor from the ∧V∨/Ŝ bidegree only)."""
-    return p_k_tensor(f)
-
-
 def p_check_end(f: GradedElement) -> GradedElement:
     """δ·(1⊗P_Ǩ) on tensors."""
     out = {}
@@ -169,47 +151,42 @@ def p_check_end(f: GradedElement) -> GradedElement:
     return GradedElement(f.config, out, f.truncated)
 
 
-def p_t(f: GradedElement) -> GradedElement:
-    """P_T = Σ_i (−1)^i P_K (δd_Ǩ P_K)^i — each step raises ∧V degree."""
-    acc = GradedElement.zero(f.config)
-    term = p_k_end(f)
+def _alternating_series(term: GradedElement, step, name: str) -> GradedElement:
+    """Σ_i (−1)^i step^i(term), stopping at the first zero term.
+
+    A series still running after series_bound steps is an implementation bug.
+    """
+    acc = GradedElement.zero(term.config)
     sign = 1
-    for _ in range(series_bound(f.config)):
+    for _ in range(series_bound(term.config)):
         if term.is_zero():
             return acc
         acc = acc.add(term.scale(sign))
-        term = p_k_end(d_check_end(term))
+        term = step(term)
         sign = -sign
     if term.is_zero():
         return acc
-    raise RuntimeError("P_T series failed to terminate")
+    raise RuntimeError(f"{name} series failed to terminate")
+
+
+def _pk_dcheck_step(term: GradedElement) -> GradedElement:
+    return p_k_tensor(d_check_end(term))
+
+
+def p_t(f: GradedElement) -> GradedElement:
+    """P_T = Σ_i (−1)^i P_K (δd_Ǩ P_K)^i — each step raises ∧V degree."""
+    return _alternating_series(p_k_tensor(f), _pk_dcheck_step, "P_T")
 
 
 def p_gv(f: GradedElement) -> GradedElement:
     """P_GV = Σ_i (−1)^i δP_Ǩ (d_K δP_Ǩ)^i — each step lowers ∧V degree."""
-    acc = GradedElement.zero(f.config)
-    term = p_check_end(f)
-    sign = 1
-    for _ in range(series_bound(f.config)):
-        if term.is_zero():
-            return acc
-        acc = acc.add(term.scale(sign))
-        term = p_check_end(d_k_tensor(term))
-        sign = -sign
-    if term.is_zero():
-        return acc
-    raise RuntimeError("P_GV series failed to terminate")
+    return _alternating_series(p_check_end(f), lambda t: p_check_end(d_k_tensor(t)), "P_GV")
 
 
 # -- projections, inclusion, residue ----------------------------------------
 
 def pi_t(f: GradedElement) -> GradedElement:
     """Constant term of the Hom(−, K⁰) column, read in ΛW ⊗ ∧V."""
-    return f.restrict(lambda k: not k[1] and not k[2])
-
-
-def res(f: GradedElement) -> GradedElement:
-    """Same restriction as π_T but kept as an End tensor (the Hom(−, Ŝ) row)."""
     return f.restrict(lambda k: not k[1] and not k[2])
 
 
@@ -222,11 +199,8 @@ def pi_gv(f: GradedElement) -> GradedElement:
         if s or b != full:
             continue
         u = full & ~a
-        nc = out.get((w, (), 0, u), 0) + _eps(a) * _socle_sign(cfg, u) * c
-        if nc:
-            out[(w, (), 0, u)] = nc
-        else:
-            out.pop((w, (), 0, u), None)
+        key = (w, (), 0, u)
+        out[key] = out.get(key, 0) + _eps(a) * _socle_sign(cfg, u) * c
     return GradedElement(cfg, out, f.truncated)
 
 
@@ -243,11 +217,7 @@ def _iota(cfg, j, x):
         if _below(a, j) & 1:
             sign = -sign
         key = (w, s, a & ~bit, b)
-        nc = out.get(key, 0) + sign * c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + sign * c
     return GradedElement(cfg, out, x.truncated)
 
 
@@ -278,18 +248,7 @@ def r_residue(f: GradedElement) -> GradedElement:
     with P_T the top ∧V∨⊗∧V blocks come out doubled and the identity
     fails from d = 2 on (checked both ways).
     """
-    acc = GradedElement.zero(f.config)
-    term = res(f)
-    sign = 1
-    for _ in range(series_bound(f.config)):
-        if term.is_zero():
-            return acc
-        acc = acc.add(term.scale(sign))
-        term = p_k_end(d_check_end(term))
-        sign = -sign
-    if term.is_zero():
-        return acc
-    raise RuntimeError("residue series failed to terminate")
+    return _alternating_series(pi_t(f), _pk_dcheck_step, "residue")
 
 
 # -- derivations -------------------------------------------------------------
@@ -342,50 +301,21 @@ def extend_derivation(g: GradedElement):
 
 # -- bases ---------------------------------------------------------------
 
-class EndSpace:
-    """Totally ordered basis of the full four-slot tensor space."""
-
-    __slots__ = ("config", "keys", "index")
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        keys = []
-        for w in range(1 << config.e):
-            for s in sym_words(config.d, config.m):
-                for a in range(1 << config.d):
-                    for b in range(1 << config.d):
-                        keys.append((w, s, a, b))
-        self.keys = tuple(sorted(keys))
-        self.index = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def element(self, key) -> GradedElement:
-        return GradedElement(self.config, {key: 1})
-
-    def truncation_safe_indices(self):
-        return tuple(i for i, k in enumerate(self.keys) if len(k[1]) < self.config.m)
+def EndSpace(config: ModelConfig) -> Basis:
+    """Basis of the full four-slot tensor space."""
+    return Basis(config, (
+        (w, s, a, b)
+        for w in range(1 << config.e)
+        for s in sym_words(config.d, config.m)
+        for a in range(1 << config.d)
+        for b in range(1 << config.d)
+    ))
 
 
-class WedgeSpace:
-    """Totally ordered basis of ΛW ⊗ ∧V (the contraction target)."""
-
-    __slots__ = ("config", "keys", "index")
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        keys = []
-        for w in range(1 << config.e):
-            for b in range(1 << config.d):
-                keys.append((w, (), 0, b))
-        self.keys = tuple(sorted(keys))
-        self.index = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def element(self, key) -> GradedElement:
-        return GradedElement(self.config, {key: 1})
+def WedgeSpace(config: ModelConfig) -> Basis:
+    """Basis of ΛW ⊗ ∧V (the contraction target)."""
+    return Basis(config, (
+        (w, (), 0, b)
+        for w in range(1 << config.e)
+        for b in range(1 << config.d)
+    ))

@@ -13,7 +13,7 @@ All symmetric-degree-raising maps truncate above m and set the sticky flag;
 contraction identities are only claimed on truncation-safe inputs.
 """
 
-from .algebra import GradedElement, ModelConfig, bits, sym_words
+from .algebra import Basis, GradedElement, ModelConfig, bits, sym_words
 
 
 def _below(mask: int, i: int) -> int:
@@ -32,11 +32,7 @@ def _dk_terms(cfg, key, c, out):
     for j in bits(a):
         sign = -1 if _below(a, j) & 1 else 1
         k2 = (w, tuple(sorted(s + (j,))), a & ~(1 << (j - 1)), b)
-        nc = out.get(k2, 0) + sign * c
-        if nc:
-            out[k2] = nc
-        else:
-            out.pop(k2, None)
+        out[k2] = out.get(k2, 0) + sign * c
     return False
 
 
@@ -50,11 +46,7 @@ def _pk_tilde_terms(cfg, key, c, out):
         rem = list(s)
         rem.remove(j)
         k2 = (w, tuple(rem), a | (1 << (j - 1)), b)
-        nc = out.get(k2, 0) + sign * s.count(j) * c
-        if nc:
-            out[k2] = nc
-        else:
-            out.pop(k2, None)
+        out[k2] = out.get(k2, 0) + sign * s.count(j) * c
 
 
 def _dk_check_terms(cfg, key, c, out):
@@ -68,11 +60,7 @@ def _dk_check_terms(cfg, key, c, out):
             continue
         sign = 1 if _below(b, i) & 1 else -1
         k2 = (w, tuple(sorted(s + (i,))), a, b | bit)
-        nc = out.get(k2, 0) + sign * c
-        if nc:
-            out[k2] = nc
-        else:
-            out.pop(k2, None)
+        out[k2] = out.get(k2, 0) + sign * c
     return False
 
 
@@ -90,11 +78,7 @@ def _pk_check_terms(cfg, key, c, out):
         rem = list(s)
         rem.remove(i)
         k2 = (w, tuple(rem), a, b & ~bit)
-        nc = out.get(k2, 0) + (sign * s.count(i) * c) / denom
-        if nc:
-            out[k2] = nc
-        else:
-            out.pop(k2, None)
+        out[k2] = out.get(k2, 0) + (sign * s.count(i) * c) / denom
 
 
 def _wsign(key) -> int:
@@ -134,12 +118,7 @@ def p_k_tilde(x: GradedElement) -> GradedElement:
 def p_k(x: GradedElement) -> GradedElement:
     """P_K = P̃_K/(k+l) per bidegree, 0 on S⁰⊗∧⁰."""
     _require_empty(x, 3, "bMask")
-    out = {}
-    for key, c in x.terms.items():
-        kl = len(key[1]) + key[2].bit_count()
-        if kl:
-            _pk_tilde_terms(x.config, key, c * _wsign(key) / kl, out)
-    return GradedElement(x.config, out, x.truncated)
+    return p_k_tensor(x)
 
 
 def pi_k(x: GradedElement) -> GradedElement:
@@ -240,54 +219,21 @@ def untwist(x: GradedElement) -> GradedElement:
 
 # -- bases ----------------------------------------------------------------
 
-class KoszulSpace:
-    """Totally ordered basis of K_Tot = ΛW ⊗ S^{≤m}(V∨) ⊗ ∧V∨ (b empty)."""
-
-    __slots__ = ("config", "keys", "index")
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        keys = []
-        for w in range(1 << config.e):
-            for s in sym_words(config.d, config.m):
-                for a in range(1 << config.d):
-                    keys.append((w, s, a, 0))
-        self.keys = tuple(sorted(keys))
-        self.index = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def element(self, key) -> GradedElement:
-        return GradedElement(self.config, {key: 1})
-
-    def truncation_safe_indices(self):
-        """Basis positions with symmetric degree < m (one raise stays exact)."""
-        return tuple(i for i, k in enumerate(self.keys) if len(k[1]) < self.config.m)
+def KoszulSpace(config: ModelConfig) -> Basis:
+    """Basis of K_Tot = ΛW ⊗ S^{≤m}(V∨) ⊗ ∧V∨ (b empty)."""
+    return Basis(config, (
+        (w, s, a, 0)
+        for w in range(1 << config.e)
+        for s in sym_words(config.d, config.m)
+        for a in range(1 << config.d)
+    ))
 
 
-class CheckSpace:
-    """Totally ordered basis of Ǩ_Tot = ΛW ⊗ S^{≤m}(V∨) ⊗ ∧V (a empty)."""
-
-    __slots__ = ("config", "keys", "index")
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        keys = []
-        for w in range(1 << config.e):
-            for s in sym_words(config.d, config.m):
-                for b in range(1 << config.d):
-                    keys.append((w, s, 0, b))
-        self.keys = tuple(sorted(keys))
-        self.index = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def element(self, key) -> GradedElement:
-        return GradedElement(self.config, {key: 1})
-
-    def truncation_safe_indices(self):
-        return tuple(i for i, k in enumerate(self.keys) if len(k[1]) < self.config.m)
+def CheckSpace(config: ModelConfig) -> Basis:
+    """Basis of Ǩ_Tot = ΛW ⊗ S^{≤m}(V∨) ⊗ ∧V (a empty)."""
+    return Basis(config, (
+        (w, s, 0, b)
+        for w in range(1 << config.e)
+        for s in sym_words(config.d, config.m)
+        for b in range(1 << config.d)
+    ))

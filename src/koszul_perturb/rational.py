@@ -6,11 +6,6 @@ wire format for a coefficient is the reduced string "p/q" with q >= 1.
 
 from fractions import Fraction
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_rational(s) -> Fraction:
     """Parse "p/q" (or a bare integer string / int) into a Fraction."""

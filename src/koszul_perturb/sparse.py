@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over ℚ between indexed bases.
 
-A LinearMap stores columns as {col_index: {row_index: Fraction}} with no
-stored zeros; `dom`/`cod` are dimensions. Spaces (KoszulSpace, EndSpace)
-provide `.keys`, `.index`, `.dim`, `.element(key)`; `matrix_of` expands a
-GradedElement-valued function over a space's basis.
+A LinearMap stores columns as {col_index: {row_index: Fraction}}; its
+constructor drops zero entries and empty columns, so the builders below
+accumulate freely. `dom`/`cod` are dimensions. A space is an
+`algebra.Basis` (`.keys`, `.index`, `.dim`, `.element(key)`); `matrix_of`
+expands a GradedElement-valued function over a basis.
 """
 
 from fractions import Fraction
@@ -40,11 +41,7 @@ class LinearMap:
         for j, col in other.cols.items():
             tgt = cols.setdefault(j, {})
             for i, c in col.items():
-                nc = tgt.get(i, 0) + c
-                if nc:
-                    tgt[i] = nc
-                else:
-                    tgt.pop(i, None)
+                tgt[i] = tgt.get(i, 0) + c
         return LinearMap(self.dom, self.cod, cols)
 
     def sub(self, other) -> "LinearMap":
@@ -58,9 +55,6 @@ class LinearMap:
             self.dom, self.cod, {j: {i: v * c for i, v in col.items()} for j, col in self.cols.items()}
         )
 
-    def neg(self) -> "LinearMap":
-        return self.scale(-1)
-
     def compose(self, other) -> "LinearMap":
         """self ∘ other."""
         if other.cod != self.dom:
@@ -73,13 +67,8 @@ class LinearMap:
                 if not mid:
                     continue
                 for r, v in mid.items():
-                    nc = acc.get(r, 0) + v * c
-                    if nc:
-                        acc[r] = nc
-                    else:
-                        acc.pop(r, None)
-            if acc:
-                cols[j] = acc
+                    acc[r] = acc.get(r, 0) + v * c
+            cols[j] = acc
         return LinearMap(other.dom, self.cod, cols)
 
     def power(self, k: int) -> "LinearMap":
@@ -97,12 +86,8 @@ class LinearMap:
             if not col or not c:
                 continue
             for i, v in col.items():
-                nc = out.get(i, 0) + v * c
-                if nc:
-                    out[i] = nc
-                else:
-                    out.pop(i, None)
-        return out
+                out[i] = out.get(i, 0) + v * c
+        return {i: c for i, c in out.items() if c}
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -151,6 +136,5 @@ def matrix_of(fn, dom_space, cod_space=None, *, allow_truncation: bool = False) 
             if i is None:
                 raise ValueError(f"image key {k} outside codomain basis")
             col[i] = c
-        if col:
-            cols[j] = col
+        cols[j] = col
     return LinearMap(dom_space.dim, cod_space.dim, cols)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .algebra import GradedElement, ModelConfig, key_parity, terms_to_json
+from .algebra import Basis, GradedElement, ModelConfig, key_parity, terms_to_json
 from .connection import CurvatureInput, alt_power
 from .homcomplex import (
     EndSpace,
@@ -50,7 +50,6 @@ from .homcomplex import (
     tensorize,
 )
 from .perturbation import Contraction, transfer
-from .rational import Rational
 from .sparse import LinearMap, matrix_of
 
 
@@ -67,7 +66,7 @@ def _bernoulli_sum_convention(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def bernoulli(n: int) -> Rational:
+def bernoulli(n: int) -> Fraction:
     """B_n in the B₁ = +1/2 convention (all other values shared)."""
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
@@ -76,7 +75,7 @@ def bernoulli(n: int) -> Rational:
 
 
 @lru_cache(maxsize=None)
-def todd_series_coeff(n: int) -> Rational:
+def todd_series_coeff(n: int) -> Fraction:
     """t_n = [x^n] x/(1 − e^{−x}), by inverting Σ_j (−1)^j x^j/(j+1)!."""
     if n < 0:
         raise ValueError("series index must be nonnegative")
@@ -263,8 +262,8 @@ class PerturbedContractions:
     """
 
     config: ModelConfig
-    end_space: EndSpace
-    wedge_space: WedgeSpace
+    end_space: Basis
+    wedge_space: Basis
     base_t: Contraction
     base_gv: Contraction
     pert_t: Contraction

@@ -3,10 +3,8 @@
 Each suite is a list of (name, thunk) pairs; a thunk returns (ok, lhs, rhs)
 with lhs/rhs short canonical strings (values when small, sha256 digests
 otherwise).  Every check draws randomness from its own child stream of the
-single suite seed, so results are independent of execution order; with
-KOSZUL_PERTURB_THREADS > 1 checks run in a thread pool and the report is
-bit-identical to the sequential run (ordering is canonical by check name,
-values are exact).
+single suite seed, so results are independent of execution order; checks
+run one after another and the report lists them sorted by name.
 
 Two suites contain checks that are honest about measured failures rather
 than weakened to pass: connection_total_integrability fails for generic
@@ -20,9 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +45,7 @@ from .connection import (
     r_bar_op,
     r_tilde_op,
     random_curvature,
+    square_sums,
     wedge_generator_value,
 )
 from .homcomplex import (
@@ -522,31 +519,9 @@ def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
 
 # -- connection suite -----------------------------------------------------------
 
-def _integrability_defects(cc, cfg: ModelConfig) -> list:
+def _integrability_defects(cc) -> list:
     """Nonzero sums K^i K^j on generators, skipping truncated (unsafe) degrees."""
-    bad = []
-    gens = [("v", GradedElement.s_gen(cfg, k)) for k in range(1, cfg.d + 1)]
-    gens += [("vbar", GradedElement.a_gen(cfg, k)) for k in range(1, cfg.d + 1)]
-    for tag, g in gens:
-        for n in range(1, 2 * cc.max_order + 1):
-            acc = GradedElement.zero(cfg)
-            safe = True
-            for i in range(0, n + 1):
-                j = n - i
-                if i > cc.max_order or j > cc.max_order:
-                    continue
-                y = cc.components[j](g)
-                if y.truncated:
-                    safe = False
-                    break
-                z = cc.components[i](y)
-                if z.truncated:
-                    safe = False
-                    break
-                acc = acc.add(z)
-            if safe and not acc.is_zero():
-                bad.append(f"gen={tag} n={n} defect={_ser_elem(acc)}")
-    return bad
+    return [f"gen={tag} n={n} defect={_ser_elem(acc)}" for tag, n, acc in square_sums(cc)]
 
 
 def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
@@ -621,7 +596,7 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
     def total_integrability():
         bad = []
         for idx, (_r, cc) in enumerate(_built("build")):
-            defects = _integrability_defects(cc, cfg)
+            defects = _integrability_defects(cc)
             if defects:
                 bad.append(f"run={idx}: {len(defects)} nonzero sums; first: {defects[0]}")
         return _tally(bad, runs)
@@ -636,7 +611,7 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
                 coeffs[(w, k, k, k)] = child.fraction()
             r = CurvatureInput.make(cfg.d, cfg.e, coeffs)
             cc = build_connection(r, cfg, max_order=mo)
-            defects = _integrability_defects(cc, cfg)
+            defects = _integrability_defects(cc)
             if defects:
                 bad.append(f"trial={trial}: first: {defects[0]}")
         return _tally(bad, runs)
@@ -889,15 +864,6 @@ _SUITE_BUILDERS = {
 }
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("KOSZUL_PERTURB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def _run_check(item):
     name, thunk = item
     start = time.perf_counter()
@@ -924,11 +890,6 @@ def run_suite(suite: str, cfg: ModelConfig, seed: int = 0, max_order=None) -> Re
             checks.extend(builder(cfg, root.split(name), max_order=max_order))
         else:
             checks.extend(builder(cfg, root.split(name)))
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(_run_check, checks))
-    else:
-        results = [_run_check(item) for item in checks]
+    results = [_run_check(item) for item in checks]
     results.sort(key=lambda c: c.name)
     return Report(suite, cfg, seed, tuple(results))

@@ -32,6 +32,7 @@ from koszul_perturb import (
     todd_det,
     todd_exp,
 )
+from koszul_perturb.connection import square_sums
 from koszul_perturb.homcomplex import WedgeSpace
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.perturbation import random_perturbation
@@ -49,30 +50,6 @@ def _curvatures(label, d, e, runs=RUNS):
 def _wedge_basis(cfg):
     for key in WedgeSpace(cfg).keys:
         yield key, G(cfg, {key: F(1)})
-
-
-def _square_sums(cc, cfg):
-    # full square: Σ_{i+j=n} 𝕂^i 𝕂^j (i, j ≥ 0) on every generator, truncated cells skipped
-    mo = cc.max_order
-    out = []
-    gens = [G.s_gen(cfg, j) for j in range(1, cfg.d + 1)]
-    gens += [G.a_gen(cfg, j) for j in range(1, cfg.d + 1)]
-    for gen in gens:
-        for n in range(1, 2 * mo + 1):
-            acc = G.zero(cfg)
-            for i in range(max(0, n - mo), min(mo, n) + 1):
-                y = cc.components[n - i](gen)
-                if y.truncated:
-                    acc = None
-                    break
-                z = cc.components[i](y)
-                if z.truncated:
-                    acc = None
-                    break
-                acc = acc.add(z)
-            if acc is not None and not acc.is_zero():
-                out.append(n)
-    return out
 
 
 def test_criterion_1_koszul_suites(criterion_recorder):
@@ -148,7 +125,7 @@ def test_criterion_4_component_coefficients_and_integrability(criterion_recorder
         if first_order_part(cc.generator_values[4], 4) != alt_power(r, cfg, 4).scale(F(-1, 720)):
             coeff_failures.append((idx, 4))
         defects = [n for n, dft in enumerate(cc.closure_defects, start=2) if not dft.is_zero()]
-        sums = _square_sums(cc, cfg)
+        sums = [n for _tag, n, _sum in square_sums(cc)]
         if defects or sums:
             integrability_failures.append((idx, defects, sorted(set(sums))))
     elapsed = time.time() - t0

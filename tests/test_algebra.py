@@ -145,6 +145,15 @@ def test_arithmetic_helpers():
     assert x.restrict(lambda k: k[2] == 0).is_zero()
 
 
+def test_cancellations_leave_no_stored_zeros():
+    a1, a2, v1 = G.a_gen(C2, 1), G.a_gen(C2, 2), G.s_gen(C2, 1)
+    total = a1.add(a2.scale(2)).add(a2.sub(a1))
+    assert total.terms == {(0, (), 0b10, 0): F(3)}
+    assert a1.add(a2).mul(a1.add(a2)).terms == {}  # a1·a2 + a2·a1 = 0
+    mixed = a1.add(a2).add(v1).mul(a1.add(a2))
+    assert mixed.terms == {(0, (1,), 0b01, 0): F(1), (0, (1,), 0b10, 0): F(1)}
+
+
 # -- interior product ---------------------------------------------------------
 
 def test_interior_product_frozen_values():

@@ -14,7 +14,7 @@ from koszul_perturb import (
     first_order_part,
     random_curvature,
 )
-from koszul_perturb.connection import gamma_compose, k1, r_bar_op, r_tilde_op
+from koszul_perturb.connection import k1, r_bar_op, r_tilde_op, square_sums
 from koszul_perturb.koszul import d_k
 
 
@@ -125,41 +125,7 @@ def test_alt_power_term_shape():
         alt_power(r, cfg, -1)
 
 
-def test_gamma_compose_wedges_w_slots():
-    a = {(1, 1, 1, 1): F(2)}
-    b = {(2, 1, 1, 1): F(3)}
-    assert gamma_compose(a, b, 1) == {(1, 2, 1, 1, 1, 1): F(6)}
-    assert gamma_compose(b, a, 1) == {(1, 2, 1, 1, 1, 1): F(-6)}
-    assert gamma_compose(a, {(1, 1, 1, 1): F(3)}, 1) == {}
-    with pytest.raises(ValueError):
-        gamma_compose({(1, 2, 1, 1): F(1)}, b, 1)  # U index beyond u_dim
-
-
 # -- integrability ------------------------------------------------------------
-
-def _square_sums(cc, cfg):
-    # full square: Σ_{i+j=n} 𝕂^i 𝕂^j (i, j ≥ 0) over all generators, truncated cells skipped
-    mo = cc.max_order
-    sums = []
-    for gen in [G.s_gen(cfg, j) for j in range(1, cfg.d + 1)] + [
-        G.a_gen(cfg, j) for j in range(1, cfg.d + 1)
-    ]:
-        for n in range(1, 2 * mo + 1):
-            acc = G.zero(cfg)
-            for i in range(max(0, n - mo), min(mo, n) + 1):
-                y = cc.components[n - i](gen)
-                if y.truncated:
-                    acc = None
-                    break
-                z = cc.components[i](y)
-                if z.truncated:
-                    acc = None
-                    break
-                acc = acc.add(z)
-            if acc is not None and not acc.is_zero():
-                sums.append((n, acc))
-    return sums
-
 
 def test_diagonal_family_is_integrable():
     cfg = ModelConfig(2, 3, 4)
@@ -170,7 +136,7 @@ def test_diagonal_family_is_integrable():
         r = CurvatureInput.make(2, 3, coeffs)
         cc = build_connection(r, cfg, max_order=3)
         assert all(dft.is_zero() for dft in cc.closure_defects)
-        assert not _square_sums(cc, cfg)
+        assert not square_sums(cc)
 
 
 def test_dimension_one_is_integrable():
@@ -180,7 +146,7 @@ def test_dimension_one_is_integrable():
         r = random_curvature(rng.split(trial), 1, 3)
         cc = build_connection(r, cfg, max_order=3)
         assert all(dft.is_zero() for dft in cc.closure_defects)
-        assert not _square_sums(cc, cfg)
+        assert not square_sums(cc)
 
 
 def test_generic_curvature_defect_is_recorded_not_raised():
@@ -190,7 +156,7 @@ def test_generic_curvature_defect_is_recorded_not_raised():
     cc = build_connection(r, cfg, max_order=3)
     assert cc.closure_defects[0].is_zero()  # order 2 still closes
     assert not cc.closure_defects[1].is_zero()  # order 3 does not
-    assert _square_sums(cc, cfg)  # and the full square is nonzero
+    assert square_sums(cc)  # and the full square is nonzero
 
 
 def test_total_and_tail_differ_by_d_k():

@@ -27,7 +27,6 @@ from koszul_perturb.homcomplex import (
     pi_gv,
     pi_t,
     r_residue,
-    res,
     series_bound,
 )
 from koszul_perturb.koszul import KoszulSpace
@@ -140,18 +139,17 @@ def test_residue_series_factors_through_projection(cfg):
         assert r_residue(f) == i_h(pi_t(f)), _key
 
 
-def test_res_keeps_constant_column_blocks():
-    # same restriction as π_T: no sym letters, no ∧V∨ letters
+def test_pi_t_keeps_constant_column_blocks():
+    # π_T keeps the blocks with no sym letters and no ∧V∨ letters
     f_col = mono(C, w=0b1, b=0b10)
-    assert res(f_col) == f_col
     assert pi_t(f_col) == f_col
-    assert res(mono(C, a=0b01, b=C.full_b)).is_zero()
-    assert res(mono(C, s=(1,), b=0b01)).is_zero()
+    assert pi_t(mono(C, a=0b01, b=C.full_b)).is_zero()
+    assert pi_t(mono(C, s=(1,), b=0b01)).is_zero()
 
 
 def test_homotopy_operators_preserve_zero():
     z = G.zero(C)
-    for op in (p_t, p_gv, pi_t, pi_gv, res, d_hom):
+    for op in (p_t, p_gv, pi_t, pi_gv, d_hom):
         assert op(z).is_zero()
 
 

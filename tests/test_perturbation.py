@@ -26,6 +26,16 @@ def _three_dim_cone():
     return Contraction(d_b, d_a, f, g, h)
 
 
+def test_cancellations_leave_no_stored_zeros():
+    a = LinearMap(2, 2, {0: {0: F(1), 1: F(2)}, 1: {0: F(1)}})
+    assert a.add(LinearMap(2, 2, {0: {0: F(-1)}, 1: {0: F(-1)}})).cols == {0: {1: F(2)}}
+    collapse = LinearMap(2, 2, {0: {0: F(1)}, 1: {0: F(1)}})
+    b = LinearMap(2, 2, {0: {0: F(1), 1: F(-1)}, 1: {0: F(1), 1: F(1)}})
+    assert collapse.compose(b).cols == {1: {0: F(2)}}  # column 0 cancels to nothing
+    assert collapse.apply({0: F(1), 1: F(-1)}) == {}
+    assert collapse.apply({0: F(1), 1: F(1)}) == {0: F(2)}
+
+
 def test_validate_accepts_cone():
     _three_dim_cone().validate()
 
