@@ -335,6 +335,13 @@ def terms_to_json(x: GradedElement):
     return out
 
 
+def _index_list(term: dict, slot: str) -> list:
+    value = term.get(slot, [])
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValueError(f"term slot {slot!r} must be a list of integers")
+    return value
+
+
 def terms_from_json(config: ModelConfig, data) -> GradedElement:
     if isinstance(data, dict) and "terms" in data:
         data = data["terms"]
@@ -347,10 +354,10 @@ def terms_from_json(config: ModelConfig, data) -> GradedElement:
         coeff = parse_rational(t.get("c", "1"))
         mono = GradedElement.monomial(
             config,
-            wmask=mask_of(t.get("w", [])),
-            sym=tuple(t.get("s", [])),
-            amask=mask_of(t.get("a", [])),
-            bmask=mask_of(t.get("b", [])),
+            wmask=mask_of(_index_list(t, "w")),
+            sym=tuple(_index_list(t, "s")),
+            amask=mask_of(_index_list(t, "a")),
+            bmask=mask_of(_index_list(t, "b")),
             coeff=coeff,
         )
         acc = acc.add(mono)

@@ -16,13 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    GradedElement,
-    ModelConfig,
-    interior_product,
-    terms_from_json,
-    terms_to_json,
-)
+from .algebra import ModelConfig, interior_product, terms_from_json, terms_to_json
 from .connection import CurvatureInput
 from .todd import q_sigma, todd_det, todd_exp
 from .verify import SUITES, run_suite
@@ -76,7 +70,10 @@ def _emit(text: str, out_path) -> None:
 
 def _load_curvature(path: str) -> CurvatureInput:
     with open(path, encoding="utf-8") as fh:
-        return CurvatureInput.from_json(fh.read())
+        r = CurvatureInput.from_json(fh.read())
+    if r.e > 6:
+        raise ValueError(f"unsupported e={r.e} (need e <= 6)")
+    return r
 
 
 def _todd_dict(tc) -> dict:
@@ -92,8 +89,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_todd(args) -> int:
     r = _load_curvature(args.input)
-    if r.d > 3 or r.e > 6:
-        raise ValueError(f"unsupported range d={r.d}, e={r.e} (need d <= 3, e <= 6)")
+    if r.d > 3:
+        raise ValueError(f"unsupported d={r.d} (need d <= 3)")
     cfg = ModelConfig(r.d, r.e, args.m)
     code = 0
     if args.route == "exp":

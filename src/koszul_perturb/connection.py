@@ -75,13 +75,24 @@ class CurvatureInput:
     @staticmethod
     def from_json(text: str) -> "CurvatureInput":
         data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise ValueError("curvature JSON must be an object with an 'entries' list")
         coeffs = {}
         for item in data["entries"]:
-            key = (item["w"], item["i"], item["j"], item["k"])
+            if not isinstance(item, dict):
+                raise ValueError("curvature entry must be an object")
+            key = tuple(_json_int(item, field) for field in "wijk")
             if key in coeffs:
                 raise ValueError(f"duplicate entry {key}")
             coeffs[key] = parse_rational(item["c"])
-        return CurvatureInput.make(data["d"], data["e"], coeffs)
+        return CurvatureInput.make(_json_int(data, "d"), _json_int(data, "e"), coeffs)
+
+
+def _json_int(obj: dict, field: str) -> int:
+    value = obj[field]
+    if type(value) is not int:
+        raise ValueError(f"curvature field {field!r} must be an integer")
+    return value
 
 
 def random_curvature(rng: SplitRng, d: int, e: int) -> CurvatureInput:
@@ -177,12 +188,6 @@ class ConnectionComponents:
     @property
     def max_order(self) -> int:
         return len(self.components) - 1
-
-    def total(self, x: GradedElement) -> GradedElement:
-        out = GradedElement.zero(self.config)
-        for op in self.components:
-            out = out.add(op(x))
-        return out
 
     def tail(self, x: GradedElement) -> GradedElement:
         """Σ_{k≥1} 𝕂^k — the connection minus its weight-zero part."""

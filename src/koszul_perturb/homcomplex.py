@@ -18,15 +18,18 @@ hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 
 from .algebra import Basis, GradedElement, ModelConfig, bits, sym_words, shuffle_sign
 from .koszul import (
+    _apply,
     _below,
     _dk_check_terms,
     _dk_terms,
     _pk_check_terms,
     _socle_sign,
+    _wsign,
     d_k_tensor,
     p_k_tensor,
 )
-from .sparse import LinearMap
+from .perturbation import Contraction
+from .sparse import LinearMap, matrix_of
 
 
 def _eps(mask: int) -> int:
@@ -92,15 +95,6 @@ def tensorize(op, cfg: ModelConfig) -> GradedElement:
     return GradedElement(cfg, out, truncated)
 
 
-def end_matrix(f: GradedElement, space: Basis) -> LinearMap:
-    """Matrix of apply_end(f, −) on the K_Tot basis (truncation losses allowed)."""
-    cols = {}
-    for j, key in enumerate(space.keys):
-        y = apply_end(f, space.element(key))
-        cols[j] = {space.index[k]: c for k, c in y.terms.items()}
-    return LinearMap(space.dim, space.dim, cols)
-
-
 def matrix_callable(M: LinearMap, space: Basis):
     """Wrap a K_Tot matrix as a GradedElement endo-function."""
 
@@ -120,13 +114,8 @@ def identity_end(cfg: ModelConfig) -> GradedElement:
 # -- differential and homotopies -------------------------------------------
 
 def d_check_end(f: GradedElement) -> GradedElement:
-    """The 1⊗d_Ǩ half of d_Hom: δ-dressed dual-differential kernel."""
-    out = {}
-    truncated = f.truncated
-    for key, c in f.terms.items():
-        if _dk_check_terms(f.config, key, c * _delta(key), out):
-            truncated = True
-    return GradedElement(f.config, out, truncated)
+    """The 1⊗d_Ǩ half of d_Hom: the dual-differential kernel signed by δ."""
+    return _apply(f, _dk_check_terms, _delta)
 
 
 def d_hom(f: GradedElement) -> GradedElement:
@@ -135,8 +124,7 @@ def d_hom(f: GradedElement) -> GradedElement:
     truncated = f.truncated
     cfg = f.config
     for key, c in f.terms.items():
-        wsign = -1 if key[0].bit_count() & 1 else 1
-        if _dk_terms(cfg, key, c * wsign, out):
+        if _dk_terms(cfg, key, c * _wsign(key), out):
             truncated = True
         if _dk_check_terms(cfg, key, c * _delta(key), out):
             truncated = True
@@ -145,10 +133,7 @@ def d_hom(f: GradedElement) -> GradedElement:
 
 def p_check_end(f: GradedElement) -> GradedElement:
     """δ·(1⊗P_Ǩ) on tensors."""
-    out = {}
-    for key, c in f.terms.items():
-        _pk_check_terms(f.config, key, c * _delta(key), out)
-    return GradedElement(f.config, out, f.truncated)
+    return _apply(f, _pk_check_terms, _delta)
 
 
 def _alternating_series(term: GradedElement, step, name: str) -> GradedElement:
@@ -249,6 +234,27 @@ def r_residue(f: GradedElement) -> GradedElement:
     fails from d = 2 on (checked both ways).
     """
     return _alternating_series(pi_t(f), _pk_dcheck_step, "residue")
+
+
+# -- the two contractions as matrices --------------------------------------
+
+def end_contractions(cfg: ModelConfig) -> tuple[Contraction, Contraction]:
+    """(T, GV) contractions of End onto ΛW ⊗ ∧V; both share d_b = d_Hom and g = i_H."""
+    end_space, wedge_space = EndSpace(cfg), WedgeSpace(cfg)
+    d_mat = matrix_of(d_hom, end_space, allow_truncation=True)
+    zero = LinearMap.zero(wedge_space.dim, wedge_space.dim)
+    inclusion = matrix_of(i_h, wedge_space, end_space)
+
+    def contraction(pi, p) -> Contraction:
+        return Contraction(
+            d_b=d_mat,
+            d_a=zero,
+            f=matrix_of(pi, end_space, wedge_space),
+            g=inclusion,
+            h=matrix_of(p, end_space, allow_truncation=True),
+        )
+
+    return contraction(pi_t, p_t), contraction(pi_gv, p_gv)
 
 
 # -- derivations -------------------------------------------------------------

@@ -85,13 +85,12 @@ def _wsign(key) -> int:
     return -1 if key[0].bit_count() & 1 else 1
 
 
-def _apply(x, kernel, *, dressed: bool):
+def _apply(x, kernel, sign=_wsign):
+    """Run a term kernel over x, each coefficient multiplied by sign(key)."""
     out = {}
     truncated = x.truncated
     for key, c in x.terms.items():
-        if dressed:
-            c = c * _wsign(key)
-        if kernel(x.config, key, c, out):
+        if kernel(x.config, key, c * sign(key), out):
             truncated = True
     return GradedElement(x.config, out, truncated)
 
@@ -106,13 +105,13 @@ def _require_empty(x, slot: int, name: str):
 def d_k(x: GradedElement) -> GradedElement:
     """d_K: v̄_j ↦ v_j derivation; square zero, sym degree +1, wedge −1."""
     _require_empty(x, 3, "bMask")
-    return _apply(x, _dk_terms, dressed=True)
+    return d_k_tensor(x)
 
 
 def p_k_tilde(x: GradedElement) -> GradedElement:
     """P̃_K: v_j ↦ v̄_j derivation; [P̃_K, d_K] = (k+l)·Id on S^l⊗∧^k."""
     _require_empty(x, 3, "bMask")
-    return _apply(x, _pk_tilde_terms, dressed=True)
+    return _apply(x, _pk_tilde_terms)
 
 
 def p_k(x: GradedElement) -> GradedElement:
@@ -139,7 +138,7 @@ def i_k(x: GradedElement) -> GradedElement:
 
 def d_k_tensor(x: GradedElement) -> GradedElement:
     """d_K ⊗ 1 on K ⊗ ∧V: the a-slot derivation with the b-slot inert."""
-    return _apply(x, _dk_terms, dressed=True)
+    return _apply(x, _dk_terms)
 
 
 def p_k_tensor(x: GradedElement) -> GradedElement:
@@ -155,15 +154,15 @@ def p_k_tensor(x: GradedElement) -> GradedElement:
 # -- public ops on Ǩ ------------------------------------------------------
 
 def d_k_check(x: GradedElement) -> GradedElement:
-    """d_Ǩ = −Σ_i v_i ⊗ ē_i∧(−), dressed with (−1)^q on ΛW."""
+    """d_Ǩ = −Σ_i v_i ⊗ ē_i∧(−), signed by (−1)^q on ΛW."""
     _require_empty(x, 2, "aMask")
-    return _apply(x, _dk_check_terms, dressed=True)
+    return _apply(x, _dk_check_terms)
 
 
 def p_k_check(x: GradedElement) -> GradedElement:
-    """P_Ǩ with prefactor 1/(l+d−k), zero when l+d−k ≤ 0; (−1)^q dressed."""
+    """P_Ǩ with prefactor 1/(l+d−k), zero when l+d−k ≤ 0; signed by (−1)^q."""
     _require_empty(x, 2, "aMask")
-    return _apply(x, _pk_check_terms, dressed=True)
+    return _apply(x, _pk_check_terms)
 
 
 def pi_k_check(x: GradedElement) -> GradedElement:

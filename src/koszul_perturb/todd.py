@@ -37,14 +37,13 @@ from .connection import CurvatureInput, alt_power
 from .homcomplex import (
     EndSpace,
     WedgeSpace,
+    _alternating_series,
     apply_end,
-    d_hom,
+    end_contractions,
     extend_derivation,
     i_h,
     matrix_callable,
     p_gv,
-    p_t,
-    pi_gv,
     pi_t,
     series_bound,
     tensorize,
@@ -228,23 +227,17 @@ def q_sigma_step(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=N
 def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) -> GradedElement:
     """q_σ(η) = π_T Σ_{k≥0} (−P_GV T)^k i_H(η), for η ∈ ΛW ⊗ ∧V.
 
-    The perturbed inclusion is accumulated at the End level.  Re-including
-    π_T of each partial term instead (the naive reading of the iterated
-    single-step display) drops the homotopy-exact remainder that later
-    steps still feed on, and measurably changes the answer.  Each step
-    wedges at least one ΛW letter in, so the series stops after at most
-    e steps; the hard bound only trips on an implementation bug.
+    The perturbed inclusion is accumulated at the End level and projected
+    once at the end (π_T is linear).  Re-including π_T of each partial term
+    instead (the naive reading of the iterated single-step display) drops
+    the homotopy-exact remainder that later steps still feed on, and
+    measurably changes the answer.  Each step wedges at least one ΛW letter
+    in, so the series stops after at most e steps; the hard bound only
+    trips on an implementation bug.
     """
     if t_op is None:
         t_op = perturbation_t(r, cfg)
-    x = i_h(eta)
-    acc = pi_t(x)
-    for _ in range(series_bound(cfg)):
-        x = p_gv(t_commutator(t_op, x)).scale(-1)
-        if x.is_zero():
-            return acc
-        acc = acc.add(pi_t(x))
-    raise RuntimeError("q_sigma series failed to terminate")
+    return pi_t(_alternating_series(i_h(eta), lambda x: p_gv(t_commutator(t_op, x)), "q_sigma"))
 
 
 # -- q_σ, matrix route -----------------------------------------------------------
@@ -276,28 +269,11 @@ class PerturbedContractions:
 
 def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedContractions:
     end_space = EndSpace(cfg)
-    wedge_space = WedgeSpace(cfg)
     t_op = perturbation_t(r, cfg)
     t_mat = matrix_of(
         lambda f: t_commutator(t_op, f), end_space, allow_truncation=True
     )
-    d_mat = matrix_of(d_hom, end_space, allow_truncation=True)
-    zero_a = LinearMap.zero(wedge_space.dim, wedge_space.dim)
-    inclusion = matrix_of(i_h, wedge_space, end_space)
-    base_t = Contraction(
-        d_b=d_mat,
-        d_a=zero_a,
-        f=matrix_of(pi_t, end_space, wedge_space),
-        g=inclusion,
-        h=matrix_of(p_t, end_space, allow_truncation=True),
-    )
-    base_gv = Contraction(
-        d_b=d_mat,
-        d_a=zero_a,
-        f=matrix_of(pi_gv, end_space, wedge_space),
-        g=inclusion,
-        h=matrix_of(p_gv, end_space, allow_truncation=True),
-    )
+    base_t, base_gv = end_contractions(cfg)
     bound = series_bound(cfg)
     pert_t = transfer(base_t, t_mat, bound)
     pert_gv = transfer(base_gv, t_mat, bound)
@@ -306,7 +282,7 @@ def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedCont
     if not pert_t.d_a.is_zero() or not pert_gv.d_a.is_zero():
         raise ValueError("transferred differential on ΛW ⊗ ∧V must vanish")
     return PerturbedContractions(
-        cfg, end_space, wedge_space, base_t, base_gv, pert_t, pert_gv
+        cfg, end_space, WedgeSpace(cfg), base_t, base_gv, pert_t, pert_gv
     )
 
 

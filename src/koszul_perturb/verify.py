@@ -53,14 +53,11 @@ from .homcomplex import (
     WedgeSpace,
     apply_end,
     d_hom,
-    i_h,
+    end_contractions,
     identity_end,
     matrix_callable,
-    p_gv,
     p_k_tensor,
     p_t,
-    pi_gv,
-    pi_t,
     r_residue,
     tensorize,
 )
@@ -81,7 +78,7 @@ from .koszul import (
     untwist,
 )
 from .perturbation import (
-    make_perturbation,
+    Contraction,
     perturb,
     random_contraction,
     random_perturbation,
@@ -184,10 +181,6 @@ def _restrict_cols(m: LinearMap, cols) -> LinearMap:
     return LinearMap(m.dom, m.cod, {j: col for j, col in m.cols.items() if j in keep})
 
 
-def _cols_equal(a: LinearMap, b: LinearMap, cols) -> bool:
-    return _restrict_cols(a, cols) == _restrict_cols(b, cols)
-
-
 def _tally(bad: list, total: int, first_detail: str = "") -> tuple:
     if bad:
         return False, f"failures={len(bad)}/{total}; first: {bad[0]}", first_detail or "all equal"
@@ -196,32 +189,46 @@ def _tally(bad: list, total: int, first_detail: str = "") -> tuple:
 
 # -- koszul suite ------------------------------------------------------------
 
+def _homotopy(d: LinearMap, p: LinearMap, ipi: LinearMap, safe) -> tuple:
+    """d p + p d = 1 − i π, compared on the truncation-safe columns."""
+    lhs = _restrict_cols(d.compose(p).add(p.compose(d)), safe)
+    rhs = _restrict_cols(LinearMap.identity(d.dom).sub(ipi), safe)
+    return lhs == rhs, _ser_map(lhs), _ser_map(rhs)
+
+
+def _koszul_kit(space, d, p, pi, i, bottom_b: int):
+    """(homotopy, p² = 0, π i = 1) checks of a Koszul contraction onto span{(w, (), 0, bottom_b)}."""
+    cfg = space.config
+
+    def homotopy():
+        d_mat = matrix_of(d, space, allow_truncation=True)
+        ipi = matrix_of(lambda x: i(pi(x)), space)
+        return _homotopy(d_mat, matrix_of(p, space), ipi, space.truncation_safe_indices())
+
+    def p_squared():
+        m = matrix_of(lambda x: p(p(x)), space)
+        return m.is_zero(), _ser_map(m), _ser_map(LinearMap.zero(space.dim, space.dim))
+
+    def projection():
+        bad = []
+        for w in range(1 << cfg.e):
+            x = GradedElement(cfg, {(w, (), 0, bottom_b): 1})
+            if pi(i(x)) != x:
+                bad.append(f"w={w}")
+        return _tally(bad, 1 << cfg.e)
+
+    return homotopy, p_squared, projection
+
+
 def _suite_koszul(cfg: ModelConfig, rng: SplitRng):
     ks = KoszulSpace(cfg)
     cs = CheckSpace(cfg)
     safe_k = ks.truncation_safe_indices()
     safe_c = cs.truncation_safe_indices()
-
-    def pk_squared():
-        m = matrix_of(lambda x: p_k(p_k(x)), ks)
-        return m.is_zero(), _ser_map(m), _ser_map(LinearMap.zero(ks.dim, ks.dim))
-
-    def projection():
-        bad = []
-        for w in range(1 << cfg.e):
-            x = GradedElement(cfg, {(w, (), 0, 0): 1})
-            if pi_k(i_k(x)) != x:
-                bad.append(f"w={w}")
-        return _tally(bad, 1 << cfg.e)
-
-    def homotopy():
-        d_mat = matrix_of(d_k, ks, allow_truncation=True)
-        p_mat = matrix_of(p_k, ks)
-        ipi = matrix_of(lambda x: i_k(pi_k(x)), ks)
-        lhs = d_mat.compose(p_mat).add(p_mat.compose(d_mat))
-        rhs = LinearMap.identity(ks.dim).sub(ipi)
-        ok = _cols_equal(lhs, rhs, safe_k)
-        return ok, _ser_map(_restrict_cols(lhs, safe_k)), _ser_map(_restrict_cols(rhs, safe_k))
+    homotopy, pk_squared, projection = _koszul_kit(ks, d_k, p_k, pi_k, i_k, 0)
+    dual_homotopy, dual_pk_squared, dual_projection = _koszul_kit(
+        cs, d_k_check, p_k_check, pi_k_check, i_k_check, cfg.full_b
+    )
 
     def ptilde_commutator():
         bad = []
@@ -233,28 +240,6 @@ def _suite_koszul(cfg: ModelConfig, rng: SplitRng):
             if got != want:
                 bad.append(f"key={key} got={_ser_elem(got)}")
         return _tally(bad, len(safe_k))
-
-    def dual_pk_squared():
-        m = matrix_of(lambda x: p_k_check(p_k_check(x)), cs)
-        return m.is_zero(), _ser_map(m), _ser_map(LinearMap.zero(cs.dim, cs.dim))
-
-    def dual_projection():
-        bad = []
-        full = cfg.full_b
-        for w in range(1 << cfg.e):
-            x = GradedElement(cfg, {(w, (), 0, full): 1})
-            if pi_k_check(i_k_check(x)) != x:
-                bad.append(f"w={w}")
-        return _tally(bad, 1 << cfg.e)
-
-    def dual_homotopy():
-        d_mat = matrix_of(d_k_check, cs, allow_truncation=True)
-        p_mat = matrix_of(p_k_check, cs)
-        ipi = matrix_of(lambda x: i_k_check(pi_k_check(x)), cs)
-        lhs = d_mat.compose(p_mat).add(p_mat.compose(d_mat))
-        rhs = LinearMap.identity(cs.dim).sub(ipi)
-        ok = _cols_equal(lhs, rhs, safe_c)
-        return ok, _ser_map(_restrict_cols(lhs, safe_c)), _ser_map(_restrict_cols(rhs, safe_c))
 
     def twist_roundtrip():
         bad = []
@@ -324,55 +309,37 @@ def _suite_koszul(cfg: ModelConfig, rng: SplitRng):
 
 # -- hom suite ---------------------------------------------------------------
 
+def _end_kit(c: Contraction, safe):
+    """(f g = 1, homotopy, side conditions) checks of one End contraction."""
+
+    def projection():
+        m = c.f.compose(c.g)
+        ident = LinearMap.identity(c.d_a.dom)
+        return m == ident, _ser_map(m), _ser_map(ident)
+
+    def homotopy():
+        return _homotopy(c.d_b, c.h, c.g.compose(c.f), safe)
+
+    def side_conditions():
+        zeros = [c.f.compose(c.h), c.h.compose(c.h), c.h.compose(c.g)]
+        ok = all(z.is_zero() for z in zeros)
+        got = ",".join(str(sum(len(col) for col in z.cols.values())) for z in zeros)
+        return ok, f"nonzero-entries={got}", "nonzero-entries=0,0,0"
+
+    return projection, homotopy, side_conditions
+
+
 def _suite_hom(cfg: ModelConfig, rng: SplitRng):
     es = EndSpace(cfg)
-    ws = WedgeSpace(cfg)
     ks = KoszulSpace(cfg)
     safe_e = es.truncation_safe_indices()
-    d_mat = matrix_of(d_hom, es, allow_truncation=True)
-    pt_mat = matrix_of(p_t, es, allow_truncation=True)
-    pgv_mat = matrix_of(p_gv, es, allow_truncation=True)
-    pit_mat = matrix_of(pi_t, es, ws)
-    pigv_mat = matrix_of(pi_gv, es, ws)
-    ih_mat = matrix_of(i_h, ws, es)
-    id_e = LinearMap.identity(es.dim)
-    id_w = LinearMap.identity(ws.dim)
-
-    def projection_t():
-        m = pit_mat.compose(ih_mat)
-        return m == id_w, _ser_map(m), _ser_map(id_w)
-
-    def projection_gv():
-        m = pigv_mat.compose(ih_mat)
-        return m == id_w, _ser_map(m), _ser_map(id_w)
-
-    def homotopy_t():
-        lhs = d_mat.compose(pt_mat).add(pt_mat.compose(d_mat))
-        rhs = id_e.sub(ih_mat.compose(pit_mat))
-        ok = _cols_equal(lhs, rhs, safe_e)
-        return ok, _ser_map(_restrict_cols(lhs, safe_e)), _ser_map(_restrict_cols(rhs, safe_e))
-
-    def homotopy_gv():
-        lhs = d_mat.compose(pgv_mat).add(pgv_mat.compose(d_mat))
-        rhs = id_e.sub(ih_mat.compose(pigv_mat))
-        ok = _cols_equal(lhs, rhs, safe_e)
-        return ok, _ser_map(_restrict_cols(lhs, safe_e)), _ser_map(_restrict_cols(rhs, safe_e))
-
-    def side_conditions_t():
-        zeros = [pit_mat.compose(pt_mat), pt_mat.compose(pt_mat), pt_mat.compose(ih_mat)]
-        ok = all(z.is_zero() for z in zeros)
-        got = ",".join(str(sum(len(c) for c in z.cols.values())) for z in zeros)
-        return ok, f"nonzero-entries={got}", "nonzero-entries=0,0,0"
-
-    def side_conditions_gv():
-        zeros = [pigv_mat.compose(pgv_mat), pgv_mat.compose(pgv_mat), pgv_mat.compose(ih_mat)]
-        ok = all(z.is_zero() for z in zeros)
-        got = ",".join(str(sum(len(c) for c in z.cols.values())) for z in zeros)
-        return ok, f"nonzero-entries={got}", "nonzero-entries=0,0,0"
+    base_t, base_gv = end_contractions(cfg)
+    projection_t, homotopy_t, side_conditions_t = _end_kit(base_t, safe_e)
+    projection_gv, homotopy_gv, side_conditions_gv = _end_kit(base_gv, safe_e)
 
     def residue_factorization():
         r_mat = matrix_of(r_residue, es)
-        rhs = ih_mat.compose(pit_mat)
+        rhs = base_t.g.compose(base_t.f)
         return r_mat == rhs, _ser_map(r_mat), _ser_map(rhs)
 
     def tensor_roundtrip():
@@ -524,26 +491,27 @@ def _integrability_defects(cc) -> list:
     return [f"gen={tag} n={n} defect={_ser_elem(acc)}" for tag, n, acc in square_sums(cc)]
 
 
+def _curvatures(rng: SplitRng, cfg: ModelConfig, label: str, runs: int) -> list:
+    child = rng.split(label)
+    return [random_curvature(child.split(t), cfg.d, cfg.e) for t in range(runs)]
+
+
 def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
     if cfg.m < 2:
         raise ValueError("connection suite needs m >= 2 (curvature is quadratic)")
     mo = min(cfg.e, 6) if max_order is None else max_order
     runs = 3
 
-    def _curvatures(label):
-        child = rng.split(label)
-        return [random_curvature(child.split(t), cfg.d, cfg.e) for t in range(runs)]
-
     def curvature_roundtrip():
         bad = []
-        for idx, r in enumerate(_curvatures("roundtrip")):
+        for idx, r in enumerate(_curvatures(rng, cfg, "roundtrip", runs)):
             if CurvatureInput.from_json(r.to_json()) != r:
                 bad.append(f"run={idx}")
         return _tally(bad, runs)
 
     def k1_square_split():
         bad = []
-        for idx, r in enumerate(_curvatures("ksq")):
+        for idx, r in enumerate(_curvatures(rng, cfg, "ksq", runs)):
             op1 = k1(r, cfg)
             rt, rb = r_tilde_op(r, cfg), r_bar_op(r, cfg)
             lhs = GradedElement.zero(cfg)
@@ -560,18 +528,21 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
 
     def _built(label):
         out = []
-        for r in _curvatures(label):
+        for r in _curvatures(rng, cfg, label, runs):
             out.append((r, build_connection(r, cfg, max_order=mo)))
         return out
 
-    def k2_coefficient():
-        bad = []
-        for idx, (r, cc) in enumerate(_built("build")):
-            got = first_order_part(cc.generator_values[2], 2)
-            want = alt_power(r, cfg, 2).scale(Fraction(1, 12))
-            if got != want:
-                bad.append(f"run={idx} got={_ser_elem(got)} want={_ser_elem(want)}")
-        return _tally(bad, runs, "coefficient 1/12")
+    def coefficient(k: int, weight: Fraction):
+        def check():
+            bad = []
+            for idx, (r, cc) in enumerate(_built("build")):
+                got = first_order_part(cc.generator_values[k], k)
+                want = alt_power(r, cfg, k).scale(weight)
+                if got != want:
+                    bad.append(f"run={idx} got={_ser_elem(got)} want={_ser_elem(want)}")
+            return _tally(bad, runs, f"coefficient {weight}")
+
+        return check
 
     def k3_vanishing():
         bad = []
@@ -583,15 +554,6 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
                 if not got.is_zero():
                     bad.append(f"run={idx} k={k} got={_ser_elem(got)}")
         return _tally(bad, total)
-
-    def k4_coefficient():
-        bad = []
-        for idx, (r, cc) in enumerate(_built("build")):
-            got = first_order_part(cc.generator_values[4], 4)
-            want = alt_power(r, cfg, 4).scale(Fraction(-1, 720))
-            if got != want:
-                bad.append(f"run={idx} got={_ser_elem(got)} want={_ser_elem(want)}")
-        return _tally(bad, runs, "coefficient -1/720")
 
     def total_integrability():
         bad = []
@@ -623,15 +585,62 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
         ("connection_total_integrability", total_integrability),
     ]
     if mo >= 2:
-        checks.append(("connection_k2_coefficient", k2_coefficient))
+        checks.append(("connection_k2_coefficient", coefficient(2, Fraction(1, 12))))
     if mo >= 3:
         checks.append(("connection_k3_vanishing", k3_vanishing))
     if mo >= 4:
-        checks.append(("connection_k4_coefficient", k4_coefficient))
+        checks.append(("connection_k4_coefficient", coefficient(4, Fraction(-1, 720))))
     return checks
 
 
 # -- todd suite -------------------------------------------------------------------
+
+def top_degree_mismatches(r: CurvatureInput, cfg: ModelConfig, td, t_op) -> tuple[int, list]:
+    """q_σ(η) = Td ⌟ η on every top-degree wedge basis η: (checked, [(key, got, want)]).
+
+    A truncated side counts as a mismatch.
+    """
+    ws = WedgeSpace(cfg)
+    top = [key for key in ws.keys if key[3] == cfg.full_b]
+    bad = []
+    for key in top:
+        eta = ws.element(key)
+        got = q_sigma(r, cfg, eta, t_op)
+        want = interior_product(td.value, eta)
+        if got.truncated or want.truncated or got != want:
+            bad.append((key, got, want))
+    return len(top), bad
+
+
+# The single-step laws: ρ_j ⌟ η enters the step with weight 1/rule(d, l, j).
+STEP_LAWS = {
+    "display": lambda d, l, j: d - l + j,  # as displayed
+    "fresh": lambda d, l, j: j,  # as measured
+}
+
+
+def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t_op, rules) -> tuple[int, dict]:
+    """One q_σ step against Σ_j ρ_j ⌟ η / rule(d, l, j) on every wedge basis η.
+
+    The step is computed once per η for all rules.  Returns (checked,
+    {name: [(key, l, got, want)] for each η where that rule's law fails}).
+    """
+    ws = WedgeSpace(cfg)
+    rhos = [(j, rho(r, cfg, j)) for j in range(1, min(cfg.d, cfg.e) + 1)]
+    bad = {name: [] for name in rules}
+    for key in ws.keys:
+        eta = ws.element(key)
+        l = key[3].bit_count()
+        got = q_sigma_step(r, cfg, eta, t_op)
+        contractions = [(j, interior_product(rj, eta)) for j, rj in rhos]
+        for name, rule in rules.items():
+            want = GradedElement.zero(cfg)
+            for j, contr in contractions:
+                want = want.add(contr.scale(Fraction(1, rule(cfg.d, l, j))))
+            if got != want:
+                bad[name].append((key, l, got, want))
+    return ws.dim, bad
+
 
 def _suite_todd(cfg: ModelConfig, rng: SplitRng):
     if cfg.d > 3:
@@ -640,10 +649,6 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         raise ValueError("todd suite needs m >= 1")
     ws = WedgeSpace(cfg)
     runs = 3
-
-    def _curvatures(label):
-        child = rng.split(label)
-        return [random_curvature(child.split(t), cfg.d, cfg.e) for t in range(runs)]
 
     def bernoulli_table():
         want = [
@@ -668,7 +673,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
 
     def route_agreement():
         bad = []
-        for idx, r in enumerate(_curvatures("routes")):
+        for idx, r in enumerate(_curvatures(rng, cfg, "routes", runs)):
             if todd_exp(r, cfg).value != todd_det(r, cfg).value:
                 bad.append(f"run={idx}")
         return _tally(bad, runs)
@@ -691,22 +696,15 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
     def top_degree_identity():
         bad = []
         total = 0
-        for idx, r in enumerate(_curvatures("main")):
-            td = todd_det(r, cfg)
-            t_op = perturbation_t(r, cfg)
-            for key in ws.keys:
-                if key[3].bit_count() != cfg.d:
-                    continue
-                total += 1
-                eta = ws.element(key)
-                got = q_sigma(r, cfg, eta, t_op)
-                want = interior_product(td.value, eta)
-                if got.truncated or want.truncated or got != want:
-                    bad.append(f"run={idx} eta={key} got={_ser_elem(got)} want={_ser_elem(want)}")
+        for idx, r in enumerate(_curvatures(rng, cfg, "main", runs)):
+            checked, misses = top_degree_mismatches(r, cfg, todd_det(r, cfg), perturbation_t(r, cfg))
+            total += checked
+            for key, got, want in misses:
+                bad.append(f"run={idx} eta={key} got={_ser_elem(got)} want={_ser_elem(want)}")
         return _tally(bad, total)
 
     def perturbed_transfer():
-        r = _curvatures("engine")[0]
+        r = _curvatures(rng, cfg, "engine", runs)[0]
         pc = perturbed_contractions(r, cfg)  # constructor asserts projections fixed
         q_mat = matrix_callable(pc.q_sigma_matrix(), ws)
         t_op = perturbation_t(r, cfg)
@@ -717,36 +715,25 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
                 bad.append(f"eta={key}")
         return _tally(bad, ws.dim)
 
-    def _step_law(denominator):
-        bad = []
-        total = 0
-        for idx, r in enumerate(_curvatures("pigti")):
-            t_op = perturbation_t(r, cfg)
-            rhos = {j: rho(r, cfg, j) for j in range(1, min(cfg.d, cfg.e) + 1)}
-            for key in ws.keys:
-                total += 1
-                eta = ws.element(key)
-                l = key[3].bit_count()
-                got = q_sigma_step(r, cfg, eta, t_op)
-                want = GradedElement.zero(cfg)
-                for j, rj in rhos.items():
-                    want = want.add(interior_product(rj, eta).scale(Fraction(1, denominator(l, j))))
-                if got != want:
+    def step_law(name):
+        rules = {name: STEP_LAWS[name]}
+
+        def check():
+            bad = []
+            total = 0
+            for idx, r in enumerate(_curvatures(rng, cfg, "pigti", runs)):
+                checked, misses = step_law_mismatches(r, cfg, perturbation_t(r, cfg), rules)
+                total += checked
+                for key, l, got, want in misses[name]:
                     bad.append(f"run={idx} eta={key} l={l} got={_ser_elem(got)} want={_ser_elem(want)}")
-        return bad, total
+            return _tally(bad, total)
 
-    def pigti_step_display():
-        bad, total = _step_law(lambda l, j: cfg.d - l + j)
-        return _tally(bad, total)
-
-    def pigti_fresh_step():
-        bad, total = _step_law(lambda l, j: j)
-        return _tally(bad, total)
+        return check
 
     def t_first_order():
         bad = []
         total = 0
-        for idx, r in enumerate(_curvatures("tfo")):
+        for idx, r in enumerate(_curvatures(rng, cfg, "tfo", runs)):
             tv = perturbation_t_value(r, cfg)
             total += 1
             if tv.restrict(lambda k: k[0].bit_count() == 1) != wedge_generator_value(r, cfg):
@@ -762,7 +749,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         return _tally(bad, total)
 
     def lambda_w_linearity():
-        r = _curvatures("linear")[0]
+        r = _curvatures(rng, cfg, "linear", runs)[0]
         t_op = perturbation_t(r, cfg)
         bad = []
         total = 0
@@ -782,8 +769,8 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         ("todd_bernoulli_table", bernoulli_table),
         ("todd_lambda_w_linearity", lambda_w_linearity),
         ("todd_perturbed_transfer", perturbed_transfer),
-        ("todd_pigti_fresh_step", pigti_fresh_step),
-        ("todd_pigti_step_display", pigti_step_display),
+        ("todd_pigti_fresh_step", step_law("fresh")),
+        ("todd_pigti_step_display", step_law("display")),
         ("todd_route_agreement", route_agreement),
         ("todd_series_coefficients", series_coefficients),
         ("todd_t_first_order", t_first_order),

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction as F
 
 from koszul_perturb import (
-    CurvatureInput,
     GradedElement as G,
     ModelConfig,
     SplitRng,
@@ -17,17 +16,14 @@ from koszul_perturb import (
     bernoulli_recursion_check,
     build_connection,
     first_order_part,
-    interior_product,
     lemma_frac_check,
     matrix_of,
     partitions_of,
     perturb,
     q_sigma,
-    q_sigma_step,
     q_sigma_via_contraction,
     random_contraction,
     random_curvature,
-    rho,
     run_suite,
     todd_det,
     todd_exp,
@@ -37,6 +33,7 @@ from koszul_perturb.homcomplex import WedgeSpace
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.perturbation import random_perturbation
 from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
+from koszul_perturb.verify import STEP_LAWS, step_law_mismatches, top_degree_mismatches
 
 RUNS = 20
 Q_SIGMA_CONFIGS = [(1, 2), (1, 3), (2, 3), (2, 4)]
@@ -45,11 +42,6 @@ Q_SIGMA_CONFIGS = [(1, 2), (1, 3), (2, 3), (2, 4)]
 def _curvatures(label, d, e, runs=RUNS):
     rng = SplitRng(0).split(label)
     return [random_curvature(rng.split(i), d, e) for i in range(runs)]
-
-
-def _wedge_basis(cfg):
-    for key in WedgeSpace(cfg).keys:
-        yield key, G(cfg, {key: F(1)})
 
 
 def test_criterion_1_koszul_suites(criterion_recorder):
@@ -150,13 +142,9 @@ def test_criterion_5_q_sigma_equals_todd_contraction(criterion_recorder):
             via_exp, via_det = todd_exp(r, cfg), todd_det(r, cfg)
             if via_exp.value != via_det.value:
                 route_failures.append((d, e, idx))
-            t_op = perturbation_t(r, cfg)
-            for key, eta in _wedge_basis(cfg):
-                if bin(key[3]).count("1") != d:
-                    continue
-                checked += 1
-                if q_sigma(r, cfg, eta, t_op) != interior_product(via_det.value, eta):
-                    failures.append((d, e, idx, key))
+            n, misses = top_degree_mismatches(r, cfg, via_det, perturbation_t(r, cfg))
+            checked += n
+            failures += [(d, e, idx, key) for key, _got, _want in misses]
     elapsed = time.time() - t0
     ok = not failures and not route_failures and elapsed < budget
     status = "PASS" if ok else "FAIL"
@@ -175,25 +163,10 @@ def test_criterion_6_single_step_normalization(criterion_recorder):
     for d, e in Q_SIGMA_CONFIGS:
         cfg = ModelConfig(d, e, 4)
         for idx, r in enumerate(_curvatures(f"criterion6:{d}:{e}", d, e)):
-            t_op = perturbation_t(r, cfg)
-            rhos = [(j, rho(r, cfg, j)) for j in range(1, e + 1)]
-            for key, eta in _wedge_basis(cfg):
-                l = bin(key[3]).count("1")
-                step = q_sigma_step(r, cfg, eta, t_op)
-                disp, fresh = G.zero(cfg), G.zero(cfg)
-                for j, rj in rhos:
-                    if rj.is_zero():
-                        continue
-                    contr = interior_product(rj, eta)
-                    if contr.is_zero():
-                        continue
-                    disp = disp.add(contr.scale(F(1, d - l + j)))
-                    fresh = fresh.add(contr.scale(F(1, j)))
-                checked += 1
-                if step != disp:
-                    display_failures.append((d, e, idx, l))
-                if step != fresh:
-                    fresh_failures.append((d, e, idx, l))
+            n, misses = step_law_mismatches(r, cfg, perturbation_t(r, cfg), STEP_LAWS)
+            checked += n
+            display_failures += [(d, e, idx, l) for _key, l, _got, _want in misses["display"]]
+            fresh_failures += [(d, e, idx, l) for _key, l, _got, _want in misses["fresh"]]
     elapsed = time.time() - t0
     status = "PASS" if not display_failures and elapsed < budget else "FAIL"
     bad_cells = sorted({(d, e, l) for d, e, _i, l in display_failures})
@@ -241,7 +214,9 @@ def test_criterion_8_series_vs_transfer_engine(criterion_recorder):
         r = _curvatures(f"criterion8:{d}:{e}", d, e, runs=1)[0]
         # clause 1: the End-level series equals the transferred-contraction composite
         pc = perturbed_contractions(r, cfg)
-        for key, eta in _wedge_basis(cfg):
+        ws = WedgeSpace(cfg)
+        for key in ws.keys:
+            eta = ws.element(key)
             if q_sigma_via_contraction(r, cfg, eta, pc=pc) != q_sigma(r, cfg, eta):
                 series_failures.append((d, e, key))
         # clause 2: the perturbing derivation t versus the connection tail Σ_{k≥1} 𝕂^k

@@ -15,7 +15,6 @@ from koszul_perturb import (
     random_curvature,
 )
 from koszul_perturb.connection import k1, r_bar_op, r_tilde_op, square_sums
-from koszul_perturb.koszul import d_k
 
 
 def mono(cfg, w=0, s=(), a=0, b=0, c=1):
@@ -157,12 +156,3 @@ def test_generic_curvature_defect_is_recorded_not_raised():
     assert cc.closure_defects[0].is_zero()  # order 2 still closes
     assert not cc.closure_defects[1].is_zero()  # order 3 does not
     assert square_sums(cc)  # and the full square is nonzero
-
-
-def test_total_and_tail_differ_by_d_k():
-    cfg = ModelConfig(2, 3, 4)
-    r = random_curvature(SplitRng(61).split("t"), 2, 3)
-    cc = build_connection(r, cfg, max_order=3)
-    for j in (1, 2):
-        x = G.a_gen(cfg, j)
-        assert cc.total(x) == d_k(x).add(cc.tail(x))

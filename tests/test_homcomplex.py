@@ -12,14 +12,15 @@ from koszul_perturb import (
     extend_derivation,
     i_h,
     interior_product,
+    matrix_of,
     tensorize,
 )
 from koszul_perturb.algebra import bits, key_parity
 from koszul_perturb.homcomplex import (
     EndSpace,
     WedgeSpace,
+    _alternating_series,
     d_hom,
-    end_matrix,
     identity_end,
     matrix_callable,
     p_gv,
@@ -66,10 +67,16 @@ def test_tensorize_inverts_apply():
         assert tensorize(lambda x, f=f: apply_end(f, x), C) == f
 
 
+def test_alternating_series_bound_raises():
+    # a step that never vanishes trips the hard bound instead of looping forever
+    with pytest.raises(RuntimeError, match="^probe series failed to terminate$"):
+        _alternating_series(mono(C, w=0b1), lambda t: t, "probe")
+
+
 def test_end_matrix_roundtrip():
     ks = KoszulSpace(C)
     f = mono(C, a=0b01, b=0b01, c=2).add(mono(C, w=0b1, s=(1,), a=0b10, b=0b01))
-    op = matrix_callable(end_matrix(f, ks), ks)
+    op = matrix_callable(matrix_of(lambda x: apply_end(f, x), ks, allow_truncation=True), ks)
     for _key, x in basis(ks):
         assert op(x) == apply_end(f, x)
 

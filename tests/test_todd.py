@@ -13,7 +13,6 @@ from koszul_perturb import (
     bernoulli,
     interior_product,
     q_sigma,
-    q_sigma_step,
     q_sigma_via_contraction,
     random_curvature,
     rho,
@@ -23,17 +22,13 @@ from koszul_perturb import (
 )
 from koszul_perturb.homcomplex import WedgeSpace
 from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
+from koszul_perturb.verify import STEP_LAWS, step_law_mismatches, top_degree_mismatches
 
 from math import factorial
 
 
 def mono(cfg, w=0, s=(), a=0, b=0, c=1):
     return G.monomial(cfg, w, s, a, b, F(c))
-
-
-def wedge_basis(cfg):
-    for key in WedgeSpace(cfg).keys:
-        yield key, G(cfg, {key: F(1)})
 
 
 # -- series data ----------------------------------------------------------------
@@ -139,7 +134,9 @@ def test_todd_json_roundtrip():
 def test_q_sigma_zero_curvature_is_identity():
     cfg = ModelConfig(2, 2, 4)
     r = CurvatureInput.zero(2, 2)
-    for key, eta in wedge_basis(cfg):
+    ws = WedgeSpace(cfg)
+    for key in ws.keys:
+        eta = ws.element(key)
         assert q_sigma(r, cfg, eta) == eta, key
 
 
@@ -149,23 +146,15 @@ def test_q_sigma_is_todd_contraction_at_top_degree():
     rng = SplitRng(73)
     for trial in range(3):
         r = random_curvature(rng.split(trial), 1, 2)
-        td = todd_det(r, cfg)
-        t_op = perturbation_t(r, cfg)
-        for key, eta in wedge_basis(cfg):
-            if bin(key[3]).count("1") != cfg.d:
-                continue
-            assert q_sigma(r, cfg, eta, t_op) == interior_product(td.value, eta), (trial, key)
+        _checked, misses = top_degree_mismatches(r, cfg, todd_det(r, cfg), perturbation_t(r, cfg))
+        assert not misses, (trial, misses[0][0])
 
 
 def test_q_sigma_is_todd_contraction_d2():
     cfg = ModelConfig(2, 3, 4)
     r = random_curvature(SplitRng(79).split("m"), 2, 3)
-    td = todd_det(r, cfg)
-    t_op = perturbation_t(r, cfg)
-    for key, eta in wedge_basis(cfg):
-        if bin(key[3]).count("1") != cfg.d:
-            continue
-        assert q_sigma(r, cfg, eta, t_op) == interior_product(td.value, eta), key
+    _checked, misses = top_degree_mismatches(r, cfg, todd_det(r, cfg), perturbation_t(r, cfg))
+    assert not misses, misses[0][0]
 
 
 def test_q_sigma_matches_todd_below_top_degree_too():
@@ -174,7 +163,9 @@ def test_q_sigma_matches_todd_below_top_degree_too():
     r = random_curvature(SplitRng(79).split("m"), 2, 3)
     td = todd_det(r, cfg)
     t_op = perturbation_t(r, cfg)
-    for key, eta in wedge_basis(cfg):
+    ws = WedgeSpace(cfg)
+    for key in ws.keys:
+        eta = ws.element(key)
         assert q_sigma(r, cfg, eta, t_op) == interior_product(td.value, eta), key
 
 
@@ -182,59 +173,38 @@ def test_q_sigma_is_lambda_w_linear():
     cfg = ModelConfig(2, 3, 4)
     r = random_curvature(SplitRng(83).split("w"), 2, 3)
     t_op = perturbation_t(r, cfg)
-    for key, eta in wedge_basis(cfg):
+    ws = WedgeSpace(cfg)
+    for key in ws.keys:
         if key[0] & 0b1:
             continue
+        eta = ws.element(key)
         w = G.w_gen(cfg, 1)
         assert q_sigma(r, cfg, w.mul(eta), t_op) == w.mul(q_sigma(r, cfg, eta, t_op)), key
 
 
 # -- single-step laws ------------------------------------------------------------------
 
-def _step_sums(r, cfg, eta, l):
-    disp = G.zero(cfg)
-    fresh = G.zero(cfg)
-    for j in range(1, cfg.e + 1):
-        rj = rho(r, cfg, j)
-        if rj.is_zero():
-            continue
-        contr = interior_product(rj, eta)
-        if contr.is_zero():
-            continue
-        disp = disp.add(contr.scale(F(1, cfg.d - l + j)))
-        fresh = fresh.add(contr.scale(F(1, j)))
-    return disp, fresh
+def _step_laws(d, e):
+    r = random_curvature(SplitRng(5).split("a"), d, e)
+    cfg = ModelConfig(d, e, 4)
+    _checked, misses = step_law_mismatches(r, cfg, perturbation_t(r, cfg), STEP_LAWS)
+    return misses["display"], misses["fresh"]
 
 
 def test_single_step_laws_dimension_one():
     # at d = 1 the two normalizations coincide wherever the contraction is nonzero
-    cfg = ModelConfig(1, 3, 4)
-    r = random_curvature(SplitRng(5).split("a"), 1, 3)
-    t_op = perturbation_t(r, cfg)
-    for key, eta in wedge_basis(cfg):
-        l = bin(key[3]).count("1")
-        step = q_sigma_step(r, cfg, eta, t_op)
-        disp, fresh = _step_sums(r, cfg, eta, l)
-        assert step == fresh, key
-        assert step == disp, key
+    display, fresh = _step_laws(1, 3)
+    assert not fresh, fresh[:1]
+    assert not display, display[:1]
 
 
 def test_single_step_fresh_law_d2_and_display_mismatch():
     # the measured law has weight 1/j at every l; the 1/(d−l+j) normalization
     # breaks at the middle degree l = 1 for generic curvature
-    cfg = ModelConfig(2, 3, 4)
-    r = random_curvature(SplitRng(5).split("a"), 2, 3)
-    t_op = perturbation_t(r, cfg)
-    mismatches = []
-    for key, eta in wedge_basis(cfg):
-        l = bin(key[3]).count("1")
-        step = q_sigma_step(r, cfg, eta, t_op)
-        disp, fresh = _step_sums(r, cfg, eta, l)
-        assert step == fresh, key
-        if step != disp:
-            mismatches.append((key, l))
-    assert mismatches
-    assert {l for _k, l in mismatches} == {1}
+    display, fresh = _step_laws(2, 3)
+    assert not fresh, fresh[:1]
+    assert display
+    assert {l for _key, l, _got, _want in display} == {1}
 
 
 # -- matrix-engine route ----------------------------------------------------------------
@@ -243,5 +213,7 @@ def test_perturbed_contraction_route_agrees():
     cfg = ModelConfig(1, 2, 4)
     r = random_curvature(SplitRng(2).split("pc"), 1, 2)
     pc = perturbed_contractions(r, cfg)
-    for key, eta in wedge_basis(cfg):
+    ws = WedgeSpace(cfg)
+    for key in ws.keys:
+        eta = ws.element(key)
         assert q_sigma_via_contraction(r, cfg, eta, pc=pc) == q_sigma(r, cfg, eta), key

@@ -193,3 +193,23 @@ def test_cli_q_sigma_rejects_non_wedge_eta(tmp_path, capsys):
     )
     assert main(["q-sigma", "--input", _r_rand(tmp_path), "--eta", eta]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_TERM = {"w": 1, "i": 1, "j": 1, "k": 1, "c": "1"}
+
+
+@pytest.mark.parametrize(
+    "curvature, eta",
+    [
+        ({"d": 2, "e": 3, "entries": "w1"}, []),
+        ({"d": 2, "e": 3, "entries": [dict(_TERM, w="1")]}, []),
+        ([_TERM], []),
+        ({"d": 2, "e": 3, "entries": []}, [{"w": [], "s": [], "a": [], "b": "12", "c": "1"}]),
+        ({"d": 1, "e": 7, "entries": []}, []),
+    ],
+    ids=["entries-string", "w-string", "top-level-array", "eta-b-string", "e-above-6"],
+)
+def test_cli_q_sigma_rejects_bad_input(tmp_path, capsys, curvature, eta):
+    r = _write(tmp_path / "r.json", curvature)
+    assert main(["q-sigma", "--input", r, "--eta", _write(tmp_path / "eta.json", eta)]) == 2
+    assert "error:" in capsys.readouterr().err
