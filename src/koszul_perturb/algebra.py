@@ -103,7 +103,7 @@ class GradedElement:
         if terms:
             for k, c in terms.items():
                 if c:
-                    self.terms[k] = Fraction(c)
+                    self.terms[k] = c if type(c) is Fraction else Fraction(c)
         self.truncated = truncated
 
     # -- constructors -------------------------------------------------
@@ -335,10 +335,15 @@ def terms_to_json(x: GradedElement):
     return out
 
 
-def _index_list(term: dict, slot: str) -> list:
+def _index_list(config: ModelConfig, term: dict, slot: str) -> list:
+    """The slot's integer indices, range-checked before any mask is built."""
     value = term.get(slot, [])
     if not isinstance(value, list) or any(type(i) is not int for i in value):
         raise ValueError(f"term slot {slot!r} must be a list of integers")
+    top = config.e if slot == "w" else config.d
+    if any(not 1 <= i <= top for i in value):
+        kind = "symmetric" if slot == "s" else "generator"
+        raise ValueError(f"{kind} index out of range")
     return value
 
 
@@ -354,10 +359,10 @@ def terms_from_json(config: ModelConfig, data) -> GradedElement:
         coeff = parse_rational(t.get("c", "1"))
         mono = GradedElement.monomial(
             config,
-            wmask=mask_of(_index_list(t, "w")),
-            sym=tuple(_index_list(t, "s")),
-            amask=mask_of(_index_list(t, "a")),
-            bmask=mask_of(_index_list(t, "b")),
+            wmask=mask_of(_index_list(config, t, "w")),
+            sym=tuple(_index_list(config, t, "s")),
+            amask=mask_of(_index_list(config, t, "a")),
+            bmask=mask_of(_index_list(config, t, "b")),
             coeff=coeff,
         )
         acc = acc.add(mono)

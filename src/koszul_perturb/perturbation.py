@@ -94,13 +94,14 @@ def transfer(c: Contraction, t: LinearMap, bound: int) -> Contraction:
     x = x_series(c, t, bound)
     if x != t.sub(t.compose(c.h).compose(x)):  # fixed point X = t − t h X
         raise ValueError("X series does not solve its fixed-point equation")
-    one_b = LinearMap.identity(c.d_b.dom)
+    # f∘(1 − x h), (1 − h x)∘g and h − h x h, with f∘x and h∘x formed once
+    fx, hx = c.f.compose(x), c.h.compose(x)
     return Contraction(
         d_b=c.d_b.add(t),
-        d_a=c.d_a.add(c.f.compose(x).compose(c.g)),
-        f=c.f.compose(one_b.sub(x.compose(c.h))),
-        g=one_b.sub(c.h.compose(x)).compose(c.g),
-        h=c.h.sub(c.h.compose(x).compose(c.h)),
+        d_a=c.d_a.add(fx.compose(c.g)),
+        f=c.f.sub(fx.compose(c.h)),
+        g=c.g.sub(hx.compose(c.g)),
+        h=c.h.sub(hx.compose(c.h)),
     )
 
 

@@ -19,7 +19,7 @@ class LinearMap:
         self.cols = {}
         if cols:
             for j, col in cols.items():
-                clean = {i: Fraction(c) for i, c in col.items() if c}
+                clean = {i: c if type(c) is Fraction else Fraction(c) for i, c in col.items() if c}
                 if clean:
                     self.cols[j] = clean
 

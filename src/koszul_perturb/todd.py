@@ -194,8 +194,28 @@ def perturbation_t_value(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
 
 
 def perturbation_t(r: CurvatureInput, cfg: ModelConfig):
-    """The odd derivation t of K_Tot with the curvature-power values."""
-    return extend_derivation(perturbation_t_value(r, cfg))
+    """The odd derivation t of K_Tot with the curvature-power values.
+
+    t is evaluated once per K_Tot monomial and extended linearly; the image
+    of x ORs the truncation flags of its monomials' images, exactly as the
+    direct derivation does.  The memo lives as long as the returned callable.
+    """
+    D = extend_derivation(perturbation_t_value(r, cfg))
+    memo = {}
+
+    def t(x: GradedElement) -> GradedElement:
+        out = {}
+        truncated = False
+        for key, c in x.terms.items():
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = D(GradedElement(cfg, {key: 1}))
+            truncated = truncated or image.truncated
+            for k, v in image.terms.items():
+                out[k] = out.get(k, 0) + c * v
+        return GradedElement(cfg, out, truncated)
+
+    return t
 
 
 def t_commutator(t_op, f: GradedElement) -> GradedElement:
@@ -217,11 +237,16 @@ def t_commutator(t_op, f: GradedElement) -> GradedElement:
 
 # -- q_σ, element route ---------------------------------------------------------
 
+def _gv_step(t_op):
+    """x ↦ P_GV [t, x], the step of the q_σ series."""
+    return lambda x: p_gv(t_commutator(t_op, x))
+
+
 def q_sigma_step(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) -> GradedElement:
     """One series step −π_T P_GV [t, i_H(η)] ∈ ΛW ⊗ ∧V."""
     if t_op is None:
         t_op = perturbation_t(r, cfg)
-    return pi_t(p_gv(t_commutator(t_op, i_h(eta)))).scale(-1)
+    return pi_t(_gv_step(t_op)(i_h(eta))).scale(-1)
 
 
 def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) -> GradedElement:
@@ -237,7 +262,7 @@ def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) 
     """
     if t_op is None:
         t_op = perturbation_t(r, cfg)
-    return pi_t(_alternating_series(i_h(eta), lambda x: p_gv(t_commutator(t_op, x)), "q_sigma"))
+    return pi_t(_alternating_series(i_h(eta), _gv_step(t_op), "q_sigma"))
 
 
 # -- q_σ, matrix route -----------------------------------------------------------
@@ -255,7 +280,6 @@ class PerturbedContractions:
     """
 
     config: ModelConfig
-    end_space: Basis
     wedge_space: Basis
     base_t: Contraction
     base_gv: Contraction
@@ -268,10 +292,9 @@ class PerturbedContractions:
 
 
 def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedContractions:
-    end_space = EndSpace(cfg)
     t_op = perturbation_t(r, cfg)
     t_mat = matrix_of(
-        lambda f: t_commutator(t_op, f), end_space, allow_truncation=True
+        lambda f: t_commutator(t_op, f), EndSpace(cfg), allow_truncation=True
     )
     base_t, base_gv = end_contractions(cfg)
     bound = series_bound(cfg)
@@ -281,9 +304,7 @@ def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedCont
         raise ValueError("perturbed projection moved — T must have positive order")
     if not pert_t.d_a.is_zero() or not pert_gv.d_a.is_zero():
         raise ValueError("transferred differential on ΛW ⊗ ∧V must vanish")
-    return PerturbedContractions(
-        cfg, end_space, WedgeSpace(cfg), base_t, base_gv, pert_t, pert_gv
-    )
+    return PerturbedContractions(cfg, WedgeSpace(cfg), base_t, base_gv, pert_t, pert_gv)
 
 
 def q_sigma_via_contraction(

@@ -1,11 +1,13 @@
 """Four-slot graded algebra: products, signs, contraction, serialization."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from koszul_perturb import (
     GradedElement as G,
+    LinearMap,
     ModelConfig,
     SplitRng,
     interior_product,
@@ -216,6 +218,43 @@ def test_json_roundtrip():
     x = mono(C2, w=0b1, s=(1, 2), a=0b10, b=0b01, c=F(-7, 3)).add(G.unit(C2))
     data = terms_to_json(x)
     assert terms_from_json(C2, data) == x
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ({"w": [2]}, "generator index out of range"),  # e = 1
+        ({"a": [0]}, "generator index out of range"),
+        ({"b": [-1]}, "generator index out of range"),
+        ({"s": [3]}, "symmetric index out of range"),  # d = 2
+    ],
+)
+def test_json_index_out_of_range(term, message):
+    with pytest.raises(ValueError, match=message):
+        terms_from_json(C2, [term])
+
+
+def test_json_huge_index_rejected_before_allocating():
+    # the mask 1 << (i − 1) of this index alone would take 12.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="generator index out of range"):
+            terms_from_json(C2, [{"w": [10**8]}])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_int_and_bool_coefficients_are_stored_as_fractions():
+    x = G(C2, {(0, (), 0, 0): 3, (1, (), 0, 0): True, (0, (1,), 0, 0): False})
+    assert x.terms == {(0, (), 0, 0): F(3), (1, (), 0, 0): F(1)}
+    m = LinearMap(2, 2, {0: {0: 2, 1: True}, 1: {0: False}})
+    assert m.cols == {0: {0: F(2), 1: F(1)}}
+    for y in (x, x.mul(x).add(x).scale(2), G(C2, {(0, (), 0, 0): 0.5})):
+        assert all(type(c) is F for c in y.terms.values())
+    for n in (m, m.compose(m).add(m).scale(3), LinearMap(1, 1, {0: {0: 0.5}})):
+        assert all(type(c) is F for col in n.cols.values() for c in col.values())
 
 
 def test_sym_words_order_and_count():

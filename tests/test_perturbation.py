@@ -118,6 +118,24 @@ def test_transfer_bound_equals_perturb():
     assert transfer(c, p.t, p.nilpotency) == perturb(c, p)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_transfer_matches_textbook_formulas(seed):
+    # oracle: f∘(1 − x h), (1 − h x)∘g and h − h x h, composed in the textbook order
+    rng = SplitRng(seed).split("textbook")
+    a_dim, cones = rng.randint(1, 4), rng.randint(2, 8)
+    c = random_contraction(rng.split("c"), a_dim, cones)
+    p = random_perturbation(rng.split("t"), c, a_dim, cones)
+    x = x_series(c, p.t, p.nilpotency)
+    one = LinearMap.identity(c.d_b.dom)
+    out = transfer(c, p.t, p.nilpotency)
+    assert out.d_b == c.d_b.add(p.t)
+    assert out.d_a == c.d_a.add(c.f.compose(x).compose(c.g))
+    assert out.f == c.f.compose(one.sub(x.compose(c.h)))
+    assert out.g == one.sub(c.h.compose(x)).compose(c.g)
+    assert out.h == c.h.sub(c.h.compose(x).compose(c.h))
+    assert (out.f, out.g, out.h) != (c.f, c.g, c.h)  # the perturbation moves the data
+
+
 def test_nilpotency_index_detects_depth():
     # two cones coupled so that t h survives exactly one round
     d_b = LinearMap(4, 4, {0: {1: F(1)}, 2: {3: F(1)}})

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_perturb import (
     CurvatureInput,
@@ -20,7 +21,8 @@ from koszul_perturb import (
     todd_exp,
     todd_series_coeff,
 )
-from koszul_perturb.homcomplex import WedgeSpace
+from koszul_perturb.homcomplex import WedgeSpace, extend_derivation
+from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
 from koszul_perturb.verify import STEP_LAWS, step_law_mismatches, top_degree_mismatches
 
@@ -71,6 +73,32 @@ def test_perturbation_t_value_dimension_one():
     val = perturbation_t_value(r, cfg)
     assert val == mono(cfg, w=0b1, s=(1,), a=0b1, b=0b1, c=F(3, 2))
     assert all(len(k[1]) == 1 for k in val.terms)
+
+
+_COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_memoized_t_equals_direct_derivation(data):
+    d, e, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    cfg = ModelConfig(d, e, m)
+    r = random_curvature(SplitRng(data.draw(st.integers(0, 10**6))), d, e)
+    direct = extend_derivation(perturbation_t_value(r, cfg))
+    t = perturbation_t(r, cfg)
+    keys = KoszulSpace(cfg).keys
+    xs = [
+        G(cfg, data.draw(st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=6)),
+          data.draw(st.booleans()))
+        for _ in range(3)
+    ]
+    for _ in range(2):  # the second pass is served from the memo
+        for x in xs:
+            got, want = t(x), direct(x)
+            assert got == want
+            assert got.truncated == want.truncated
+    with pytest.raises(ValueError):
+        t(xs[0].add(mono(cfg, b=0b1)))
 
 
 # -- the class and its two routes ---------------------------------------------------

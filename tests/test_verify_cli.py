@@ -213,3 +213,9 @@ def test_cli_q_sigma_rejects_bad_input(tmp_path, capsys, curvature, eta):
     r = _write(tmp_path / "r.json", curvature)
     assert main(["q-sigma", "--input", r, "--eta", _write(tmp_path / "eta.json", eta)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_q_sigma_rejects_huge_index_in_one_line(tmp_path, capsys):
+    eta = _write(tmp_path / "eta.json", [{"w": [10**8], "c": "1"}])
+    assert main(["q-sigma", "--input", _r_rand(tmp_path), "--eta", eta]) == 2
+    assert capsys.readouterr().err == "error: generator index out of range\n"
