@@ -12,8 +12,9 @@ word. Canonical word order is [w][s][a][b], ascending inside each slot;
 every sign in the package is a transposition count against that order.
 Parity of a key is (q + a + b) mod 2 — symmetric letters are even.
 
-Products that would push the symmetric degree past m drop the term and
-set a sticky `truncated` flag instead of raising; identity checks
+Every product of two monomials goes through `_mul_keys`, which holds the
+sign rule; products that would push the symmetric degree past m drop the
+term and set a sticky `truncated` flag instead of raising; identity checks
 downstream are only claimed where the flag stays clear.
 """
 
@@ -191,23 +192,15 @@ class GradedElement:
         cfg = self.config
         out = {}
         truncated = self.truncated or other.truncated
-        for (w1, s1, a1, b1), c1 in self.terms.items():
-            for (w2, s2, a2, b2), c2 in other.terms.items():
-                if w1 & w2 or a1 & a2 or b1 & b2:
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                prod = _mul_keys(cfg.m, k1, k2)
+                if not prod:
+                    truncated = truncated or prod is False
                     continue
-                if len(s1) + len(s2) > cfg.m:
-                    truncated = True
-                    continue
-                sign = 1
-                # y's w-letters hop over x's a- and b-letters
-                if (w2.bit_count() & 1) and ((a1.bit_count() + b1.bit_count()) & 1):
-                    sign = -sign
-                # y's a-letters hop over x's b-letters
-                if (a2.bit_count() & 1) and (b1.bit_count() & 1):
-                    sign = -sign
-                sign *= shuffle_sign(w1, w2) * shuffle_sign(a1, a2) * shuffle_sign(b1, b2)
-                key = (w1 | w2, tuple(sorted(s1 + s2)), a1 | a2, b1 | b2)
-                out[key] = out.get(key, 0) + sign * c1 * c2
+                sign, key = prod
+                c = c1 * c2
+                out[key] = out.get(key, 0) + (c if sign > 0 else -c)
         return GradedElement(cfg, out, truncated)
 
     def __mul__(self, other):
@@ -242,6 +235,50 @@ class GradedElement:
             parts.append(f"({c})·" + ("·".join(word) or "1"))
         tail = " [trunc]" if self.truncated else ""
         return " + ".join(parts) + tail
+
+
+def _mul_keys(m: int, k1, k2):
+    """(sign, key) of k1·k2; None if an odd letter repeats, False past degree m."""
+    w1, s1, a1, b1 = k1
+    w2, s2, a2, b2 = k2
+    if w1 & w2 or a1 & a2 or b1 & b2:
+        return None
+    if len(s1) + len(s2) > m:
+        return False
+    sign = 1
+    # k2's w-letters hop over k1's a- and b-letters
+    if (w2.bit_count() & 1) and ((a1.bit_count() + b1.bit_count()) & 1):
+        sign = -sign
+    # k2's a-letters hop over k1's b-letters
+    if (a2.bit_count() & 1) and (b1.bit_count() & 1):
+        sign = -sign
+    if w1 and w2:
+        sign *= shuffle_sign(w1, w2)
+    if a1 and a2:
+        sign *= shuffle_sign(a1, a2)
+    if b1 and b2:
+        sign *= shuffle_sign(b1, b2)
+    s = tuple(sorted(s1 + s2)) if s1 and s2 else s1 or s2
+    return sign, (w1 | w2, s, a1 | a2, b1 | b2)
+
+
+def sandwich(m: int, left, g: GradedElement, right, coeff, out: dict) -> bool:
+    """Add coeff·(left·g·right) into `out` for monomial keys left and right; return
+    the truncation flag that monomial(left).mul(g).mul(monomial(right)) would carry."""
+    truncated = g.truncated
+    for k, c in g.terms.items():
+        inner = _mul_keys(m, left, k)
+        if not inner:
+            truncated = truncated or inner is False
+            continue
+        outer = _mul_keys(m, inner[1], right)
+        if not outer:
+            truncated = truncated or outer is False
+            continue
+        sign, key = outer
+        c = coeff * c
+        out[key] = out.get(key, 0) + (c if sign == inner[0] else -c)
+    return truncated
 
 
 def truncation_safe(x: GradedElement) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import GradedElement, ModelConfig
+from .algebra import GradedElement, ModelConfig, sandwich
 from .homcomplex import extend_derivation, p_t
 from .koszul import d_k
 from .rational import format_rational, parse_rational
@@ -142,21 +142,20 @@ def extend_sym_derivation(values: dict[int, GradedElement], cfg: ModelConfig) ->
     wedge generators and on ΛW."""
 
     def op(x: GradedElement) -> GradedElement:
+        if x.config != cfg:
+            raise ValueError("config mismatch")
         if any(k[3] for k in x.terms):
             raise ValueError("operand must lie in K_Tot (empty ∧V slot)")
-        out = GradedElement.zero(x.config)
-        for key, c in x.terms.items():
-            w, s, a, b = key
-            qx = w.bit_count() & 1
+        out = {}
+        truncated = x.truncated
+        for (w, s, a, b), c in x.terms.items():
+            coeff = -c if w.bit_count() & 1 else c
             for t, letter in enumerate(s):
                 g = values.get(letter)
-                if g is None or g.is_zero():
-                    continue
-                pre = GradedElement.monomial(x.config, w, s[:t] + s[t + 1:], 0, 0)
-                post = GradedElement.monomial(x.config, 0, (), a, b)
-                piece = pre.mul(g).mul(post).scale(c if not qx else -c)
-                out = out.add(piece)
-        return out
+                if g is not None and not g.is_zero():
+                    left, right = (w, s[:t] + s[t + 1:], 0, 0), (0, (), a, b)
+                    truncated = sandwich(cfg.m, left, g, right, coeff, out) or truncated
+        return GradedElement(cfg, out, truncated)
 
     return op
 

@@ -16,7 +16,7 @@ because each double step moves the ∧V degree strictly monotonically; the
 hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 """
 
-from .algebra import Basis, GradedElement, ModelConfig, bits, sym_words, shuffle_sign
+from .algebra import Basis, GradedElement, ModelConfig, bits, sandwich, shuffle_sign, sym_words
 from .koszul import (
     _apply,
     _below,
@@ -282,25 +282,19 @@ def extend_derivation(g: GradedElement):
     vals = {j: GradedElement(cfg, t) for j, t in values.items()}
 
     def D(x: GradedElement) -> GradedElement:
-        acc = GradedElement.zero(cfg)
+        out = {}
+        truncated = x.truncated
         for (wx, sx, C, bx), cx in x.terms.items():
             if bx:
                 raise ValueError("operand must lie in K_Tot")
             base = -cx if (p and wx.bit_count() & 1) else cx
-            c_list = list(bits(C))
-            for t, j in enumerate(c_list):
+            for t, j in enumerate(bits(C)):
                 gj = vals.get(j)
-                if gj is None:
-                    continue
-                sign = -1 if (p and t & 1) else 1
-                prefix_mask = 0
-                for i in c_list[:t]:
-                    prefix_mask |= 1 << (i - 1)
-                suffix_mask = C & ~prefix_mask & ~(1 << (j - 1))
-                prefix = GradedElement(cfg, {(wx, sx, prefix_mask, 0): 1})
-                suffix = GradedElement(cfg, {(0, (), suffix_mask, 0): 1})
-                acc = acc.add(prefix.mul(gj).mul(suffix).scale(base * sign))
-        return acc
+                if gj is not None:  # v̄_C = (letters below j)·v̄_j·(letters above j)
+                    coeff = -base if (p and t & 1) else base
+                    left, right = (wx, sx, C & ((1 << (j - 1)) - 1), 0), (0, (), C >> j << j, 0)
+                    truncated = sandwich(cfg.m, left, gj, right, coeff, out) or truncated
+        return GradedElement(cfg, out, truncated)
 
     return D
 

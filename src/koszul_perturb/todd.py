@@ -205,7 +205,7 @@ def perturbation_t(r: CurvatureInput, cfg: ModelConfig):
 
     def t(x: GradedElement) -> GradedElement:
         out = {}
-        truncated = False
+        truncated = x.truncated
         for key, c in x.terms.items():
             image = memo.get(key)
             if image is None:

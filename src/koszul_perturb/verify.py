@@ -499,6 +499,8 @@ def _curvatures(rng: SplitRng, cfg: ModelConfig, label: str, runs: int) -> list:
 def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
     if cfg.m < 2:
         raise ValueError("connection suite needs m >= 2 (curvature is quadratic)")
+    if cfg.e < 1:
+        raise ValueError("connection suite needs e >= 1")
     mo = min(cfg.e, 6) if max_order is None else max_order
     runs = 3
 
@@ -647,6 +649,8 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         raise ValueError("todd suite needs d <= 3 (determinant route)")
     if cfg.m < 1:
         raise ValueError("todd suite needs m >= 1")
+    if cfg.e < 1:
+        raise ValueError("todd suite needs e >= 1")
     ws = WedgeSpace(cfg)
     runs = 3
 

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_perturb import (
     GradedElement as G,
@@ -21,6 +22,7 @@ from koszul_perturb.algebra import (
     k_degree,
     key_parity,
     mask_of,
+    sandwich,
     shuffle_sign,
     sym_words,
 )
@@ -116,6 +118,67 @@ def test_mul_associativity_random():
 
         x, y, z = rand_elem("x"), rand_elem("y"), rand_elem("z")
         assert x.mul(y).mul(z) == x.mul(y.mul(z))
+
+
+_COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+def _all_keys(cfg):
+    return [
+        (w, s, a, b)
+        for w in range(1 << cfg.e)
+        for s in sym_words(cfg.d, cfg.m)
+        for a in range(1 << cfg.d)
+        for b in range(1 << cfg.d)
+    ]
+
+
+def _random_element(data, cfg):
+    keys = st.sampled_from(_all_keys(cfg))
+    return G(cfg, data.draw(st.dictionaries(keys, _COEFFS, min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_mul_is_associative_and_graded_commutative(data):
+    cfg = ModelConfig(*(data.draw(st.integers(1, 3)) for _ in range(3)))
+    x, y, z = (_random_element(data, cfg) for _ in range(3))
+    assert x.mul(y).mul(z) == x.mul(y.mul(z))
+    for p in (0, 1):
+        xp = x.restrict(lambda k: key_parity(k) == p)
+        for q in (0, 1):
+            yq = y.restrict(lambda k: key_parity(k) == q)
+            xy, yx = xp.mul(yq), yq.mul(xp)
+            assert xy == (yx.scale(-1) if p and q else yx)
+            assert xy.truncated == yx.truncated
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_sandwich_is_the_product_chain(data):
+    cfg = ModelConfig(*(data.draw(st.integers(1, 3)) for _ in range(3)))
+    left, right = (data.draw(st.sampled_from(_all_keys(cfg))) for _ in range(2))
+    g = _random_element(data, cfg)
+    g.truncated = data.draw(st.booleans())
+    coeff = data.draw(_COEFFS.filter(bool))
+    out = {}
+    truncated = sandwich(cfg.m, left, g, right, coeff, out)
+    want = G(cfg, {left: 1}).mul(g).mul(G(cfg, {right: 1})).scale(coeff)
+    assert G(cfg, out) == want and truncated == want.truncated
+
+
+def test_sandwich_on_every_monomial_triple():
+    cfg = ModelConfig(1, 1, 2)
+    keys = _all_keys(cfg)
+    for k in keys:
+        g = G(cfg, {k: F(2)})
+        for left in keys:
+            pre = G(cfg, {left: 1}).mul(g)
+            for right in keys:
+                out = {}
+                truncated = sandwich(cfg.m, left, g, right, F(-1, 3), out)
+                want = pre.mul(G(cfg, {right: 1})).scale(F(-1, 3))
+                assert G(cfg, out) == want and truncated == want.truncated
 
 
 def test_truncation_is_sticky():

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_perturb import (
     CurvatureInput,
@@ -14,7 +15,19 @@ from koszul_perturb import (
     first_order_part,
     random_curvature,
 )
-from koszul_perturb.connection import k1, r_bar_op, r_tilde_op, square_sums
+from koszul_perturb.algebra import bits, key_parity, mask_of
+from koszul_perturb.connection import (
+    extend_sym_derivation,
+    k1,
+    r_bar_op,
+    r_tilde_op,
+    square_sums,
+    sym_generator_values,
+    wedge_generator_value,
+)
+from koszul_perturb.homcomplex import extend_derivation
+from koszul_perturb.koszul import KoszulSpace
+from koszul_perturb.todd import perturbation_t_value
 
 
 def mono(cfg, w=0, s=(), a=0, b=0, c=1):
@@ -156,3 +169,68 @@ def test_generic_curvature_defect_is_recorded_not_raised():
     assert cc.closure_defects[0].is_zero()  # order 2 still closes
     assert not cc.closure_defects[1].is_zero()  # order 3 does not
     assert square_sums(cc)  # and the full square is nonzero
+
+
+# -- derivations against their product construction ----------------------------
+
+def _product_derivation(g, x):
+    """D(x) as Σ ±prefix·g_j·suffix over the wedge letters v̄_j of each monomial."""
+    cfg = g.config
+    vals = {}
+    for (w, s, a, b), c in g.terms.items():
+        j = b.bit_length()
+        vals[j] = vals.get(j, G.zero(cfg)).add(G(cfg, {(w, s, a, 0): c}))
+    p = key_parity(next(iter(g.terms))) if g.terms else 0  # parity of D: |g_j| + 1
+    acc = G(cfg, {}, x.truncated)
+    for (wx, sx, C, _b), cx in x.terms.items():
+        letters = list(bits(C))
+        for t, j in enumerate(letters):
+            if j not in vals:
+                continue
+            prefix = G(cfg, {(wx, sx, mask_of(letters[:t]), 0): 1})
+            suffix = G(cfg, {(0, (), mask_of(letters[t + 1:]), 0): 1})
+            sign = -1 if p and (wx.bit_count() + t) & 1 else 1
+            acc = acc.add(prefix.mul(vals[j]).mul(suffix).scale(sign * cx))
+    return acc
+
+
+def _product_sym_derivation(values, x):
+    """R̃(x) as Σ ±(word without v_k)·R̃(v_k)·(wedge part) over the letters v_k."""
+    cfg = x.config
+    acc = G(cfg, {}, x.truncated)
+    for (w, s, a, b), c in x.terms.items():
+        for t, letter in enumerate(s):
+            g = values.get(letter)
+            if g is None or g.is_zero():
+                continue
+            pre = G.monomial(cfg, w, s[:t] + s[t + 1:], 0, 0)
+            post = G.monomial(cfg, 0, (), a, b)
+            acc = acc.add(pre.mul(g).mul(post).scale(-c if w.bit_count() & 1 else c))
+    return acc
+
+
+_COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_derivations_match_their_product_construction(data):
+    d, e = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cfg = ModelConfig(d, e, data.draw(st.integers(2, 3)))  # R̃'s values are quadratic
+    r = random_curvature(SplitRng(data.draw(st.integers(0, 10**6))), d, e)
+    keys = KoszulSpace(cfg).keys
+    xs = [
+        G(cfg, data.draw(st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=6)),
+          data.draw(st.booleans()))
+        for _ in range(3)
+    ]
+    values = sym_generator_values(r, cfg)
+    r_tilde = extend_sym_derivation(values, cfg)
+    for g in (perturbation_t_value(r, cfg), wedge_generator_value(r, cfg)):
+        D = extend_derivation(g)
+        for x in xs:
+            got, want = D(x), _product_derivation(g, x)
+            assert got == want and got.truncated == want.truncated
+    for x in xs:
+        got, want = r_tilde(x), _product_sym_derivation(values, x)
+        assert got == want and got.truncated == want.truncated

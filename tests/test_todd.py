@@ -21,9 +21,15 @@ from koszul_perturb import (
     todd_exp,
     todd_series_coeff,
 )
+from koszul_perturb.connection import r_tilde_op
 from koszul_perturb.homcomplex import WedgeSpace, extend_derivation
 from koszul_perturb.koszul import KoszulSpace
-from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
+from koszul_perturb.todd import (
+    perturbation_t,
+    perturbation_t_value,
+    perturbed_contractions,
+    t_commutator,
+)
 from koszul_perturb.verify import STEP_LAWS, step_law_mismatches, top_degree_mismatches
 
 from math import factorial
@@ -99,6 +105,20 @@ def test_memoized_t_equals_direct_derivation(data):
             assert got.truncated == want.truncated
     with pytest.raises(ValueError):
         t(xs[0].add(mono(cfg, b=0b1)))
+
+
+def test_truncated_operand_stays_truncated():
+    cfg = ModelConfig(2, 2, 4)
+    r = random_curvature(SplitRng(5), 2, 2)
+    t = perturbation_t(r, cfg)
+    ops = (t, extend_derivation(perturbation_t_value(r, cfg)), r_tilde_op(r, cfg),
+           lambda f: t_commutator(t, f))
+    x = {(0b01, (1,), 0b11, 0): F(2), (0, (2,), 0b10, 0): F(-1, 3)}
+    f = {(0, (1,), 0b01, 0b11): F(1), (0b10, (), 0b10, 0b01): F(3)}
+    for op, terms in zip(ops, (x, x, x, f)):
+        clean, flagged = op(G(cfg, terms)), op(G(cfg, terms, truncated=True))
+        assert not clean.is_zero() and not clean.truncated
+        assert flagged == clean and flagged.truncated
 
 
 # -- the class and its two routes ---------------------------------------------------

@@ -126,6 +126,13 @@ def test_cli_verify_rejects_bad_usage(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["todd", "connection"])
+def test_cli_verify_rejects_e_zero_in_one_line(capsys, suite):
+    assert main(["verify", suite, "--d", "1", "--e", "0", "--m", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {suite} suite needs e >= 1\n"
+    assert main(["verify", "koszul", "--d", "1", "--e", "0", "--m", "2"]) == 0
+
+
 def test_cli_todd_zero_curvature(tmp_path, capsys):
     assert main(["todd", "--input", _r_zero(tmp_path), "--m", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -219,3 +226,14 @@ def test_cli_q_sigma_rejects_huge_index_in_one_line(tmp_path, capsys):
     eta = _write(tmp_path / "eta.json", [{"w": [10**8], "c": "1"}])
     assert main(["q-sigma", "--input", _r_rand(tmp_path), "--eta", eta]) == 2
     assert capsys.readouterr().err == "error: generator index out of range\n"
+
+
+@pytest.mark.parametrize("literal", ["1e200000", "2.5", "1_000"])
+@pytest.mark.parametrize("command", ["todd", "q-sigma"])
+def test_cli_rejects_non_fraction_literal_in_one_line(tmp_path, capsys, command, literal):
+    r = _write(tmp_path / "r.json", {"d": 1, "e": 1, "entries": [dict(_TERM, c=literal)]})
+    argv = [command, "--input", r]
+    if command == "q-sigma":
+        argv += ["--eta", _write(tmp_path / "eta.json", [{"b": [1], "c": "1"}])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad rational literal {literal!r}\n"
