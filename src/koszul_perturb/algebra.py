@@ -56,6 +56,24 @@ def shuffle_sign(x: int, y: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def contraction_sign(u: int, b: int) -> int:
+    """Sign of ι_{e_{u₁}}∘…∘ι_{e_{u_k}} on the ascending word e_b, for u ⊆ b.
+
+    u is ascending, so u_k acts first; each ι_{e_i} then still finds every
+    letter of b below i in place and contributes (−1)^{#letters below i}.
+    """
+    n = 0
+    for i in bits(u):
+        n += (b & ((1 << (i - 1)) - 1)).bit_count()
+    return -1 if n & 1 else 1
+
+
+def _eps(mask: int) -> int:
+    """⟨ē_C, v̄_C⟩ = contraction_sign(C, C) = (−1)^{|C|(|C|−1)/2}."""
+    n = mask.bit_count()
+    return -1 if (n * (n - 1) // 2) & 1 else 1
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d: int  # dim V
@@ -301,22 +319,14 @@ def interior_product(omega: GradedElement, eta: GradedElement) -> GradedElement:
     cfg = omega.config
     out = {}
     for (wx, _sx, ax, _bx), cx in omega.terms.items():
-        na = ax.bit_count()
-        if (na * (na - 1) // 2) & 1:  # reversal: det-pairing loop below nests ascending-innermost
-            cx = -cx
+        na_odd = ax.bit_count() & 1
         for (wy, _sy, _ay, by), cy in eta.terms.items():
             if ax & ~by or wx & wy:
                 continue
-            sign = shuffle_sign(wx, wy)
-            if (na & 1) and (wy.bit_count() & 1):
+            sign = shuffle_sign(wx, wy) * contraction_sign(ax, by)
+            if na_odd and (wy.bit_count() & 1):
                 sign = -sign
-            rem = by
-            for i in bits(ax):
-                below = (rem & ((1 << (i - 1)) - 1)).bit_count()
-                if below & 1:  # (-1)^{pos-1}, pos = below+1
-                    sign = -sign
-                rem &= ~(1 << (i - 1))
-            key = (wx | wy, (), 0, rem)
+            key = (wx | wy, (), 0, by & ~ax)
             out[key] = out.get(key, 0) + sign * cx * cy
     return GradedElement(cfg, out, omega.truncated or eta.truncated)
 

@@ -16,26 +16,12 @@ because each double step moves the ∧V degree strictly monotonically; the
 hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 """
 
-from .algebra import Basis, GradedElement, ModelConfig, bits, sandwich, shuffle_sign, sym_words
-from .koszul import (
-    _apply,
-    _below,
-    _dk_check_terms,
-    _dk_terms,
-    _pk_check_terms,
-    _socle_sign,
-    _wsign,
-    d_k_tensor,
-    p_k_tensor,
+from .algebra import (
+    Basis, GradedElement, ModelConfig, _eps, bits, contraction_sign, sandwich, shuffle_sign, sym_words
 )
+from .koszul import _apply, _dk_check_terms, _dk_terms, _pk_check_terms, _wsign, d_k_tensor, p_k_tensor
 from .perturbation import Contraction
 from .sparse import LinearMap, matrix_of
-
-
-def _eps(mask: int) -> int:
-    """⟨ē_C, v̄_C⟩ = (−1)^{|C|(|C|−1)/2} under ascending-innermost contraction."""
-    n = mask.bit_count()
-    return -1 if (n * (n - 1) // 2) & 1 else 1
 
 
 def _delta(key) -> int:
@@ -183,47 +169,27 @@ def pi_gv(f: GradedElement) -> GradedElement:
     for (w, s, a, b), c in f.terms.items():
         if s or b != full:
             continue
-        u = full & ~a
-        key = (w, (), 0, u)
-        out[key] = out.get(key, 0) + _eps(a) * _socle_sign(cfg, u) * c
+        key = (w, (), 0, full & ~a)
+        out[key] = out.get(key, 0) + contraction_sign(a, full) * c
     return GradedElement(cfg, out, f.truncated)
 
 
-def _iota(cfg, j, x):
-    """Single contraction ι_{e_j} on the ∧V∨ slot, crossing ΛW."""
-    out = {}
-    bit = 1 << (j - 1)
-    for (w, s, a, b), c in x.terms.items():
-        if not a & bit:
-            continue
-        sign = 1
-        if w.bit_count() & 1:
-            sign = -sign
-        if _below(a, j) & 1:
-            sign = -sign
-        key = (w, s, a & ~bit, b)
-        out[key] = out.get(key, 0) + sign * c
-    return GradedElement(cfg, out, x.truncated)
-
-
 def i_h(omega: GradedElement) -> GradedElement:
-    """Algebra map ΛW⊗∧V → End: ω ↦ L_ω ∘ (ι_{e_{u₁}}∘…∘ι_{e_{u_k}}), u ascending."""
+    """Algebra map ΛW⊗∧V → End: ω ↦ L_ω ∘ (ι_{e_{u₁}}∘…∘ι_{e_{u_k}}), u ascending.
+
+    On the v̄_C columns this is w·ē_U ↦ Σ_{C ⊇ U} ε_C·contraction_sign(U, C)·
+    w·v̄_{C∖U} ⊗ ē_C, written down directly; ω's truncation flag is kept.
+    """
     cfg = omega.config
     if any(k[1] or k[2] for k in omega.terms):
         raise ValueError("argument must lie in ΛW ⊗ ∧V")
-
-    def op(x: GradedElement) -> GradedElement:
-        acc = GradedElement.zero(cfg)
-        for (w, _s, _a, u_mask), c in omega.terms.items():
-            y = x
-            for u in sorted(bits(u_mask), reverse=True):
-                y = _iota(cfg, u, y)
-            if w:
-                y = GradedElement(cfg, {(w, (), 0, 0): 1}).mul(y)
-            acc = acc.add(y.scale(c))
-        return acc
-
-    return tensorize(op, cfg)
+    out = {}
+    for (w, _s, _a, u), c in omega.terms.items():
+        for C in range(1 << cfg.d):
+            if C & u == u:
+                key = (w, (), C & ~u, C)
+                out[key] = out.get(key, 0) + _eps(C) * contraction_sign(u, C) * c
+    return GradedElement(cfg, out, omega.truncated)
 
 
 def r_residue(f: GradedElement) -> GradedElement:

@@ -13,7 +13,7 @@ All symmetric-degree-raising maps truncate above m and set the sticky flag;
 contraction identities are only claimed on truncation-safe inputs.
 """
 
-from .algebra import Basis, GradedElement, ModelConfig, bits, sym_words
+from .algebra import Basis, GradedElement, ModelConfig, _eps, bits, contraction_sign, sym_words
 
 
 def _below(mask: int, i: int) -> int:
@@ -186,13 +186,8 @@ def i_k_check(x: GradedElement) -> GradedElement:
 
 def _socle_sign(cfg, bmask: int) -> int:
     """σ with ě_{Bᶜ} ⌟ ē_{[d]} = σ·ē_B (ascending-innermost contraction)."""
-    sign = 1
-    rem = cfg.full_b
-    for i in bits(cfg.full_b & ~bmask):
-        if _below(rem, i) & 1:
-            sign = -sign
-        rem &= ~(1 << (i - 1))
-    return sign
+    rest = cfg.full_b & ~bmask
+    return contraction_sign(rest, cfg.full_b) * _eps(rest)
 
 
 def twist(x: GradedElement) -> GradedElement:

@@ -73,13 +73,14 @@ def make_perturbation(c: Contraction, t: LinearMap) -> Perturbation:
 def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
     """X = Σ_k (−1)^k (t h)^k t, summed until a power vanishes."""
     acc = LinearMap.zero(t.dom, t.dom)
+    th = t.compose(c.h)
     term = t
     sign = 1
     for _ in range(bound + 1):
         if term.is_zero():
             return acc
         acc = acc.add(term.scale(sign))
-        term = t.compose(c.h).compose(term)
+        term = th.compose(term)
         sign = -sign
     raise ValueError("x_series did not terminate within the nilpotency bound")
 

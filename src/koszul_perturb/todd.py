@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .algebra import Basis, GradedElement, ModelConfig, key_parity, terms_to_json
+from .algebra import GradedElement, ModelConfig, key_parity, terms_to_json
 from .connection import CurvatureInput, alt_power
 from .homcomplex import (
     EndSpace,
@@ -49,7 +49,7 @@ from .homcomplex import (
     tensorize,
 )
 from .perturbation import Contraction, transfer
-from .sparse import LinearMap, matrix_of
+from .sparse import matrix_of
 
 
 # -- Bernoulli numbers and the Todd power series ------------------------------
@@ -219,20 +219,18 @@ def perturbation_t(r: CurvatureInput, cfg: ModelConfig):
 
 
 def t_commutator(t_op, f: GradedElement) -> GradedElement:
-    """[t, f] = t∘f − (−1)^{|f|} f∘t as an End tensor, split by term parity."""
+    """[t, f] = t∘f − (−1)^{|f|} f∘t as an End tensor, probed in one pass.
+
+    Only f∘t carries the sign, so it acts through a copy of f whose even
+    terms are negated.  [t, 0] is an untruncated zero, even for a flagged 0.
+    """
     cfg = f.config
-    acc = GradedElement.zero(cfg)
-    for p in (0, 1):
-        part = f.restrict(lambda k: key_parity(k) == p)
-        if part.is_zero():
-            continue
-        sign = 1 if p else -1
-
-        def op(x, part=part, sign=sign):
-            return t_op(apply_end(part, x)).add(apply_end(part, t_op(x)).scale(sign))
-
-        acc = acc.add(tensorize(op, cfg))
-    return acc
+    if f.is_zero():
+        return GradedElement.zero(cfg)
+    signed = GradedElement(
+        cfg, {k: c if key_parity(k) else -c for k, c in f.terms.items()}, f.truncated
+    )
+    return tensorize(lambda x: t_op(apply_end(f, x)).add(apply_end(signed, t_op(x))), cfg)
 
 
 # -- q_σ, element route ---------------------------------------------------------
@@ -267,31 +265,16 @@ def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) 
 
 # -- q_σ, matrix route -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerturbedContractions:
-    """Both End-complex contractions, before and after the T transfer.
+def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> tuple[Contraction, Contraction]:
+    """Both End-complex contractions (T, GV) after the T = [t, −] transfer.
 
     The perturbed projections provably equal the unperturbed ones and the
     transferred differential on ΛW ⊗ ∧V stays zero — T's image has positive
-    symmetric degree, which both projections kill; the constructor checks
-    this on the nose.  No square-zero validation is run: (d_K + t)² need
-    not vanish in the model, which is precisely the flatness defect the
-    connection module records.
+    symmetric degree, which both projections kill; both are checked on the
+    nose.  No square-zero validation is run: (d_K + t)² need not vanish in
+    the model, which is precisely the flatness defect the connection module
+    records.
     """
-
-    config: ModelConfig
-    wedge_space: Basis
-    base_t: Contraction
-    base_gv: Contraction
-    pert_t: Contraction
-    pert_gv: Contraction
-
-    def q_sigma_matrix(self) -> LinearMap:
-        """q_σ = (perturbed π_T) ∘ (perturbed GV inclusion) on ΛW ⊗ ∧V."""
-        return self.pert_t.f.compose(self.pert_gv.g)
-
-
-def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedContractions:
     t_op = perturbation_t(r, cfg)
     t_mat = matrix_of(
         lambda f: t_commutator(t_op, f), EndSpace(cfg), allow_truncation=True
@@ -304,13 +287,12 @@ def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> PerturbedCont
         raise ValueError("perturbed projection moved — T must have positive order")
     if not pert_t.d_a.is_zero() or not pert_gv.d_a.is_zero():
         raise ValueError("transferred differential on ΛW ⊗ ∧V must vanish")
-    return PerturbedContractions(cfg, WedgeSpace(cfg), base_t, base_gv, pert_t, pert_gv)
+    return pert_t, pert_gv
 
 
 def q_sigma_via_contraction(
-    r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, pc: PerturbedContractions | None = None
+    r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, pc: tuple[Contraction, Contraction] | None = None
 ) -> GradedElement:
-    """q_σ(η) through the generic transfer engine (route oracle for q_sigma)."""
-    if pc is None:
-        pc = perturbed_contractions(r, cfg)
-    return matrix_callable(pc.q_sigma_matrix(), pc.wedge_space)(eta)
+    """q_σ(η) = perturbed π_T ∘ perturbed GV inclusion, via the transfer engine (oracle for q_sigma)."""
+    pert_t, pert_gv = perturbed_contractions(r, cfg) if pc is None else pc
+    return matrix_callable(pert_t.f.compose(pert_gv.g), WedgeSpace(cfg))(eta)

@@ -709,8 +709,8 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
 
     def perturbed_transfer():
         r = _curvatures(rng, cfg, "engine", runs)[0]
-        pc = perturbed_contractions(r, cfg)  # constructor asserts projections fixed
-        q_mat = matrix_callable(pc.q_sigma_matrix(), ws)
+        pert_t, pert_gv = perturbed_contractions(r, cfg)  # asserts projections fixed
+        q_mat = matrix_callable(pert_t.f.compose(pert_gv.g), ws)
         t_op = perturbation_t(r, cfg)
         bad = []
         for key in ws.keys:

@@ -1,6 +1,13 @@
-"""Shared fixtures; collects acceptance one-liners for the terminal summary."""
+"""Shared fixtures and property-test settings; collects acceptance one-liners
+for the terminal summary."""
 
 import pytest
+from hypothesis import settings
+
+# Property tests have no deadline (exact arithmetic varies widely in time) and
+# keep no example database; each test sets only its own max_examples.
+settings.register_profile("koszul", deadline=None, database=None)
+settings.load_profile("koszul")
 
 _ACCEPT: list[str] = []
 

@@ -138,7 +138,7 @@ def _random_element(data, cfg):
     return G(cfg, data.draw(st.dictionaries(keys, _COEFFS, min_size=1, max_size=4)))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_mul_is_associative_and_graded_commutative(data):
     cfg = ModelConfig(*(data.draw(st.integers(1, 3)) for _ in range(3)))
@@ -153,7 +153,7 @@ def test_mul_is_associative_and_graded_commutative(data):
             assert xy.truncated == yx.truncated
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_sandwich_is_the_product_chain(data):
     cfg = ModelConfig(*(data.draw(st.integers(1, 3)) for _ in range(3)))
@@ -253,21 +253,21 @@ def _iota_once(cfg, j, x):
 
 def test_interior_product_is_nested_contraction():
     # ω = w_W ⊗ ě_A acts as (−1)-dressed ι_{a₁}∘…∘ι_{a_k}, ascending outermost
-    cfg = C3
-    for wmask in range(1 << cfg.e):
-        for amask in range(1 << cfg.d):
-            omega = mono(cfg, w=wmask, a=amask)
-            for bmask in range(1 << cfg.d):
-                for warg in range(1 << cfg.e):
-                    if wmask & warg:
-                        continue
-                    x = mono(cfg, w=warg, b=bmask)
-                    got = interior_product(omega, x)
-                    want = x
-                    for j in sorted(bits(amask), reverse=True):
-                        want = _iota_once(cfg, j, want)
-                    want = mono(cfg, w=wmask).mul(want)
-                    assert got == want, (wmask, amask, bmask, warg)
+    for cfg in (C3, ModelConfig(4, 2, 1)):
+        for wmask in range(1 << cfg.e):
+            for amask in range(1 << cfg.d):
+                omega = mono(cfg, w=wmask, a=amask)
+                for bmask in range(1 << cfg.d):
+                    for warg in range(1 << cfg.e):
+                        if wmask & warg:
+                            continue
+                        x = mono(cfg, w=warg, b=bmask)
+                        got = interior_product(omega, x)
+                        want = x
+                        for j in sorted(bits(amask), reverse=True):
+                            want = _iota_once(cfg, j, want)
+                        want = mono(cfg, w=wmask).mul(want)
+                        assert got == want, (wmask, amask, bmask, warg)
 
 
 def test_interior_product_rejects_sym_letters():

@@ -212,7 +212,7 @@ def _product_sym_derivation(values, x):
 _COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_derivations_match_their_product_construction(data):
     d, e = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))

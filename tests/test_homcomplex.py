@@ -95,7 +95,7 @@ def _iota_slot_a(cfg, j, x):
     return out
 
 
-@pytest.mark.parametrize("cfg", [ModelConfig(2, 2, 2), ModelConfig(3, 1, 2)])
+@pytest.mark.parametrize("cfg", [ModelConfig(2, 2, 2), ModelConfig(3, 1, 2), ModelConfig(4, 1, 1)])
 def test_i_h_is_nested_single_contraction(cfg):
     ks = KoszulSpace(cfg)
     for wmask in range(1 << cfg.e):

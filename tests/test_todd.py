@@ -21,8 +21,9 @@ from koszul_perturb import (
     todd_exp,
     todd_series_coeff,
 )
+from koszul_perturb.algebra import key_parity
 from koszul_perturb.connection import r_tilde_op
-from koszul_perturb.homcomplex import WedgeSpace, extend_derivation
+from koszul_perturb.homcomplex import EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, tensorize
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import (
     perturbation_t,
@@ -84,7 +85,7 @@ def test_perturbation_t_value_dimension_one():
 _COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_memoized_t_equals_direct_derivation(data):
     d, e, m = (data.draw(st.integers(1, 3)) for _ in range(3))
@@ -112,13 +113,46 @@ def test_truncated_operand_stays_truncated():
     r = random_curvature(SplitRng(5), 2, 2)
     t = perturbation_t(r, cfg)
     ops = (t, extend_derivation(perturbation_t_value(r, cfg)), r_tilde_op(r, cfg),
-           lambda f: t_commutator(t, f))
+           lambda f: t_commutator(t, f), i_h)
     x = {(0b01, (1,), 0b11, 0): F(2), (0, (2,), 0b10, 0): F(-1, 3)}
     f = {(0, (1,), 0b01, 0b11): F(1), (0b10, (), 0b10, 0b01): F(3)}
-    for op, terms in zip(ops, (x, x, x, f)):
+    eta = {(0b01, (), 0, 0b10): F(2), (0, (), 0, 0b11): F(-1, 3)}
+    for op, terms in zip(ops, (x, x, x, f, eta)):
         clean, flagged = op(G(cfg, terms)), op(G(cfg, terms, truncated=True))
         assert not clean.is_zero() and not clean.truncated
         assert flagged == clean and flagged.truncated
+
+
+def _two_pass_commutator(t_op, f):
+    # the parity-split construction: one tensorize pass per parity part of f
+    acc = G.zero(f.config)
+    for p in (0, 1):
+        part = f.restrict(lambda k: key_parity(k) == p)
+        if part.is_zero():
+            continue
+        sign = 1 if p else -1
+
+        def op(x, part=part, sign=sign):
+            return t_op(apply_end(part, x)).add(apply_end(part, t_op(x)).scale(sign))
+
+        acc = acc.add(tensorize(op, f.config))
+    return acc
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_t_commutator_matches_the_parity_split_construction(data):
+    d, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+    cfg = ModelConfig(d, e, m)
+    t = perturbation_t(random_curvature(SplitRng(data.draw(st.integers(0, 10**6))), d, e), cfg)
+    keys = EndSpace(cfg).keys
+    for _ in range(3):
+        f = G(cfg, data.draw(st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=6)),
+              data.draw(st.booleans()))
+        got, want = t_commutator(t, f), _two_pass_commutator(t, f)
+        assert got == want and got.truncated == want.truncated
+    zero = t_commutator(t, G(cfg, {}, truncated=True))
+    assert zero.is_zero() and not zero.truncated
 
 
 # -- the class and its two routes ---------------------------------------------------
