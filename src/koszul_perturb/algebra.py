@@ -98,18 +98,6 @@ def key_parity(key) -> int:
     return (w.bit_count() + a.bit_count() + b.bit_count()) & 1
 
 
-def k_degree(key) -> int:
-    """Total degree on K_Tot (b-slot empty): form degree minus wedge degree."""
-    w, s, a, b = key
-    return w.bit_count() - a.bit_count()
-
-
-def end_degree(key) -> int:
-    """Degree of an endomorphism-tensor monomial: q - a + b (Eq.-forced)."""
-    w, s, a, b = key
-    return w.bit_count() - a.bit_count() + b.bit_count()
-
-
 class GradedElement:
     """Sparse {key: Fraction} element; the constructor drops zero coefficients,
     so builders may accumulate into a plain dict and leave cancellations in."""

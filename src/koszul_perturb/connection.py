@@ -311,15 +311,11 @@ def _polarized_matrix(r: CurvatureInput, cfg: ModelConfig) -> list[list[GradedEl
     return mat
 
 
-def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
-    """Alt[R^{⊗k}] in Λ^kW ⊗ ∧^kV∨ ⊗ End(V∨), encoded as Σ entry·v_j ⊗ ē_i.
-
-    Composition of End slots with wedging of W and N∨ slots is exactly the
-    k-th power of the polarized matrix over the commutative even subalgebra.
-    """
+def polarized_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> list[list[GradedElement]]:
+    """M^k for the polarized matrix M, as d×d entries over ΛW ⊗ ∧V∨; M⁰ = 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cfg_mat = _polarized_matrix(r, cfg)
+    mat = _polarized_matrix(r, cfg)
     d = cfg.d
     power = [
         [GradedElement.unit(cfg) if i == j else GradedElement.zero(cfg) for j in range(d)]
@@ -331,13 +327,22 @@ def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
             for j in range(d):
                 acc = GradedElement.zero(cfg)
                 for t in range(d):
-                    acc = acc.add(cfg_mat[i][t].mul(power[t][j]))
+                    acc = acc.add(mat[i][t].mul(power[t][j]))
                 nxt[i][j] = acc
         power = nxt
+    return power
+
+
+def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
+    """Alt[R^{⊗k}] in Λ^kW ⊗ ∧^kV∨ ⊗ End(V∨), encoded as Σ entry·v_i ⊗ ē_j.
+
+    Composition of End slots with wedging of W and N∨ slots is exactly the
+    k-th power of the polarized matrix over the commutative even subalgebra,
+    whose (i, j) entry sits on v_i ⊗ ē_j.
+    """
     out = GradedElement.zero(cfg)
-    for i in range(d):
-        for j in range(d):
-            entry = power[i][j]
+    for i, row in enumerate(polarized_power(r, cfg, k)):
+        for j, entry in enumerate(row):
             if entry.is_zero():
                 continue
             out = out.add(

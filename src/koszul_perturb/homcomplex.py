@@ -19,8 +19,8 @@ hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 from .algebra import (
     Basis, GradedElement, ModelConfig, _eps, bits, contraction_sign, sandwich, shuffle_sign, sym_words
 )
-from .koszul import _apply, _dk_check_terms, _dk_terms, _pk_check_terms, _wsign, d_k_tensor, p_k_tensor
-from .perturbation import Contraction
+from .koszul import _apply, _dk_check_terms, _pk_check_terms, d_k_tensor, p_k_tensor
+from .perturbation import Contraction, alternating_series
 from .sparse import LinearMap, matrix_of
 
 
@@ -106,38 +106,12 @@ def d_check_end(f: GradedElement) -> GradedElement:
 
 def d_hom(f: GradedElement) -> GradedElement:
     """d_Hom = d_K⊗1 + δ·(1⊗d_Ǩ); square-zero; matches [d_K, −] via apply_end."""
-    out = {}
-    truncated = f.truncated
-    cfg = f.config
-    for key, c in f.terms.items():
-        if _dk_terms(cfg, key, c * _wsign(key), out):
-            truncated = True
-        if _dk_check_terms(cfg, key, c * _delta(key), out):
-            truncated = True
-    return GradedElement(cfg, out, truncated)
+    return d_k_tensor(f).add(d_check_end(f))
 
 
 def p_check_end(f: GradedElement) -> GradedElement:
     """δ·(1⊗P_Ǩ) on tensors."""
     return _apply(f, _pk_check_terms, _delta)
-
-
-def _alternating_series(term: GradedElement, step, name: str) -> GradedElement:
-    """Σ_i (−1)^i step^i(term), stopping at the first zero term.
-
-    A series still running after series_bound steps is an implementation bug.
-    """
-    acc = GradedElement.zero(term.config)
-    sign = 1
-    for _ in range(series_bound(term.config)):
-        if term.is_zero():
-            return acc
-        acc = acc.add(term.scale(sign))
-        term = step(term)
-        sign = -sign
-    if term.is_zero():
-        return acc
-    raise RuntimeError(f"{name} series failed to terminate")
 
 
 def _pk_dcheck_step(term: GradedElement) -> GradedElement:
@@ -146,12 +120,14 @@ def _pk_dcheck_step(term: GradedElement) -> GradedElement:
 
 def p_t(f: GradedElement) -> GradedElement:
     """P_T = Σ_i (−1)^i P_K (δd_Ǩ P_K)^i — each step raises ∧V degree."""
-    return _alternating_series(p_k_tensor(f), _pk_dcheck_step, "P_T")
+    return alternating_series(p_k_tensor(f), _pk_dcheck_step, series_bound(f.config), "P_T")
 
 
 def p_gv(f: GradedElement) -> GradedElement:
     """P_GV = Σ_i (−1)^i δP_Ǩ (d_K δP_Ǩ)^i — each step lowers ∧V degree."""
-    return _alternating_series(p_check_end(f), lambda t: p_check_end(d_k_tensor(t)), "P_GV")
+    return alternating_series(
+        p_check_end(f), lambda t: p_check_end(d_k_tensor(t)), series_bound(f.config), "P_GV"
+    )
 
 
 # -- projections, inclusion, residue ----------------------------------------
@@ -199,7 +175,7 @@ def r_residue(f: GradedElement) -> GradedElement:
     with P_T the top ∧V∨⊗∧V blocks come out doubled and the identity
     fails from d = 2 on (checked both ways).
     """
-    return _alternating_series(pi_t(f), _pk_dcheck_step, "residue")
+    return alternating_series(pi_t(f), _pk_dcheck_step, series_bound(f.config), "residue")
 
 
 # -- the two contractions as matrices --------------------------------------

@@ -70,19 +70,29 @@ def make_perturbation(c: Contraction, t: LinearMap) -> Perturbation:
     return Perturbation(t, k)
 
 
-def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
-    """X = Σ_k (−1)^k (t h)^k t, summed until a power vanishes."""
-    acc = LinearMap.zero(t.dom, t.dom)
-    th = t.compose(c.h)
-    term = t
+def alternating_series(term, step, bound: int, name: str):
+    """Σ_k (−1)^k step^k(term), summed up to the first zero term.
+
+    Works on `GradedElement` and `LinearMap` alike: the sum starts from
+    term.scale(0), which keeps a truncation flag.  A series still running
+    after `bound` steps is an implementation bug.
+    """
+    acc = term.scale(0)
     sign = 1
-    for _ in range(bound + 1):
+    for _ in range(bound):
         if term.is_zero():
             return acc
         acc = acc.add(term.scale(sign))
-        term = th.compose(term)
+        term = step(term)
         sign = -sign
-    raise ValueError("x_series did not terminate within the nilpotency bound")
+    if term.is_zero():
+        return acc
+    raise RuntimeError(f"{name} series failed to terminate")
+
+
+def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
+    """X = Σ_k (−1)^k (t h)^k t, summed until a power vanishes."""
+    return alternating_series(t, t.compose(c.h).compose, bound, "X")
 
 
 def transfer(c: Contraction, t: LinearMap, bound: int) -> Contraction:
@@ -93,10 +103,11 @@ def transfer(c: Contraction, t: LinearMap, bound: int) -> Contraction:
     Perturbation invariants.
     """
     x = x_series(c, t, bound)
-    if x != t.sub(t.compose(c.h).compose(x)):  # fixed point X = t − t h X
-        raise ValueError("X series does not solve its fixed-point equation")
-    # f∘(1 − x h), (1 − h x)∘g and h − h x h, with f∘x and h∘x formed once
+    # f∘(1 − x h), (1 − h x)∘g and h − h x h, with f∘x and h∘x formed once;
+    # h∘x also serves the fixed-point check X = t − t h X
     fx, hx = c.f.compose(x), c.h.compose(x)
+    if x != t.sub(t.compose(hx)):
+        raise ValueError("X series does not solve its fixed-point equation")
     return Contraction(
         d_b=c.d_b.add(t),
         d_a=c.d_a.add(fx.compose(c.g)),

@@ -55,14 +55,15 @@ class SplitRng:
             raise ValueError("empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
-    def fraction(self, max_num: int = 5, max_den: int = 3) -> Fraction:
-        """Nonzero rational with small numerator/denominator."""
+    def fraction(self) -> Fraction:
+        """Nonzero rational p/q with 1 ≤ |p| ≤ 5 and 1 ≤ q ≤ 3."""
         num = 0
         while num == 0:
-            num = self.randint(-max_num, max_num)
-        return Fraction(num, self.randint(1, max_den))
+            num = self.randint(-5, 5)
+        return Fraction(num, self.randint(1, 3))
 
-    def maybe_zero_fraction(self, zero_one_in: int = 3, max_num: int = 5, max_den: int = 3) -> Fraction:
-        if self.randint(1, zero_one_in) == 1:
+    def maybe_zero_fraction(self) -> Fraction:
+        """Zero one time in three, else `fraction()`."""
+        if self.randint(1, 3) == 1:
             return Fraction(0)
-        return self.fraction(max_num, max_den)
+        return self.fraction()

@@ -2,8 +2,8 @@
 endomorphism q_σ it induces on ΛW ⊗ ∧V.
 
 The class is computed by two independent routes that must agree: the
-exponential of Σ_n ρ_n/n, where ρ_n is the End-trace of the n-th
-antisymmetrized curvature power, and the Leibniz determinant of
+exponential of Σ_n ρ_n/n, where ρ_n is the trace of the n-th power M^n of
+the polarized curvature matrix, and the Leibniz determinant of
 Σ_n t_n·(polarized R)^n over the commutative even subalgebra, with t_n the
 power-series coefficients of x/(1 − e^{−x}).  q_σ also comes in two routes:
 an element-level series accumulating the perturbed inclusion (−P_GV T)^k i_H
@@ -33,11 +33,10 @@ from functools import lru_cache
 from itertools import permutations
 
 from .algebra import GradedElement, ModelConfig, key_parity, terms_to_json
-from .connection import CurvatureInput, alt_power
+from .connection import CurvatureInput, alt_power, polarized_power
 from .homcomplex import (
     EndSpace,
     WedgeSpace,
-    _alternating_series,
     apply_end,
     end_contractions,
     extend_derivation,
@@ -48,7 +47,7 @@ from .homcomplex import (
     series_bound,
     tensorize,
 )
-from .perturbation import Contraction, transfer
+from .perturbation import Contraction, alternating_series, transfer
 from .sparse import matrix_of
 
 
@@ -88,18 +87,8 @@ def todd_series_coeff(n: int) -> Fraction:
 
 # -- traces and the ρ_n forms --------------------------------------------------
 
-def end_trace(x: GradedElement) -> GradedElement:
-    """Trace over the End slot of a matrix-encoded element (v_i row, ē_j column)."""
-    cfg = x.config
-    out = GradedElement.zero(cfg)
-    for (w, s, a, b), c in x.terms.items():
-        if len(s) == 1 and b == 1 << (s[0] - 1):
-            out = out.add(GradedElement.monomial(cfg, w, (), a, 0, c))
-    return out
-
-
 def rho(r: CurvatureInput, cfg: ModelConfig, n: int) -> GradedElement:
-    """ρ_n ∈ Λ^nW ⊗ ∧^nV∨: the normalized trace of Alt[R^{⊗n}].
+    """ρ_n ∈ Λ^nW ⊗ ∧^nV∨: the normalized trace of Alt[R^{⊗n}] = M^n.
 
     The coefficient is −(−1)^n B_n/n! = t_n/n·(n-free part): equal to
     −B_n/n! for even n and to +1/2 at n = 1 (the convention note above).
@@ -109,7 +98,11 @@ def rho(r: CurvatureInput, cfg: ModelConfig, n: int) -> GradedElement:
     if n > min(cfg.d, cfg.e):
         return GradedElement.zero(cfg)
     coeff = -Fraction((-1) ** n) * bernoulli(n) / math.factorial(n)
-    return end_trace(alt_power(r, cfg, n)).scale(coeff)
+    power = polarized_power(r, cfg, n)
+    trace = GradedElement.zero(cfg)
+    for i in range(cfg.d):
+        trace = trace.add(power[i][i])
+    return trace.scale(coeff)
 
 
 # -- the Todd class, two ways --------------------------------------------------
@@ -158,17 +151,12 @@ def todd_det(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
     """Leibniz determinant of 1 + Σ_n t_n·(polarized R)^n over ΛW ⊗ ∧V∨."""
     if cfg.d > 3:
         raise ValueError("Leibniz-determinant route supports d ≤ 3")
-    entries = [
-        [GradedElement.unit(cfg) if i == j else GradedElement.zero(cfg) for j in range(cfg.d)]
-        for i in range(cfg.d)
-    ]
+    entries = polarized_power(r, cfg, 0)
     for n in range(1, min(cfg.d, cfg.e) + 1):
         coeff = todd_series_coeff(n)
-        for (w, s, a, b), c in alt_power(r, cfg, n).terms.items():
-            i, j = s[0] - 1, b.bit_length() - 1
-            entries[i][j] = entries[i][j].add(
-                GradedElement.monomial(cfg, w, (), a, 0, coeff * c)
-            )
+        for i, row in enumerate(polarized_power(r, cfg, n)):
+            for j, entry in enumerate(row):
+                entries[i][j] = entries[i][j].add(entry.scale(coeff))
     det = GradedElement.zero(cfg)
     for perm in permutations(range(cfg.d)):
         inversions = sum(
@@ -260,7 +248,7 @@ def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) 
     """
     if t_op is None:
         t_op = perturbation_t(r, cfg)
-    return pi_t(_alternating_series(i_h(eta), _gv_step(t_op), "q_sigma"))
+    return pi_t(alternating_series(i_h(eta), _gv_step(t_op), series_bound(cfg), "q_sigma"))
 
 
 # -- q_σ, matrix route -----------------------------------------------------------

@@ -423,9 +423,9 @@ def _suite_hom(cfg: ModelConfig, rng: SplitRng):
 
 # -- perturbation suite --------------------------------------------------------
 
-def _perturbation_instances(rng: SplitRng, count: int = 8):
+def _perturbation_instances(rng: SplitRng):
     out = []
-    for trial in range(count):
+    for trial in range(8):
         child = rng.split(f"pair{trial}")
         a_dim = child.randint(1, 6)
         cones = child.randint(1, 10)

@@ -18,8 +18,6 @@ from koszul_perturb import (
 )
 from koszul_perturb.algebra import (
     bits,
-    end_degree,
-    k_degree,
     key_parity,
     mask_of,
     sandwich,
@@ -64,8 +62,6 @@ def test_shuffle_sign_brute_force():
 def test_parity_and_degrees():
     key = (0b11, (1, 2), 0b1, 0b101)  # two w, two sym, one a, two b
     assert key_parity(key) == (2 + 1 + 2) % 2  # sym letters are even
-    assert k_degree(key) == 2 - 1  # form degree minus wedge degree
-    assert end_degree(key) == 2 - 1 + 2
 
 
 # -- products -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from koszul_perturb import (
     GradedElement as G,
+    LinearMap,
     ModelConfig,
     SplitRng,
     apply_end,
@@ -19,7 +20,6 @@ from koszul_perturb.algebra import bits, key_parity
 from koszul_perturb.homcomplex import (
     EndSpace,
     WedgeSpace,
-    _alternating_series,
     d_hom,
     identity_end,
     matrix_callable,
@@ -31,6 +31,7 @@ from koszul_perturb.homcomplex import (
     series_bound,
 )
 from koszul_perturb.koszul import KoszulSpace
+from koszul_perturb.perturbation import alternating_series
 
 C = ModelConfig(2, 1, 2)
 
@@ -68,9 +69,13 @@ def test_tensorize_inverts_apply():
 
 
 def test_alternating_series_bound_raises():
-    # a step that never vanishes trips the hard bound instead of looping forever
+    # a step that never vanishes trips the hard bound instead of looping forever,
+    # on elements and on matrices alike
     with pytest.raises(RuntimeError, match="^probe series failed to terminate$"):
-        _alternating_series(mono(C, w=0b1), lambda t: t, "probe")
+        alternating_series(mono(C, w=0b1), lambda t: t, series_bound(C), "probe")
+    one = LinearMap.identity(3)
+    with pytest.raises(RuntimeError, match="^matrix series failed to terminate$"):
+        alternating_series(one, one.compose, 5, "matrix")
 
 
 def test_end_matrix_roundtrip():

@@ -149,3 +149,15 @@ def test_nilpotency_index_detects_depth():
     p = make_perturbation(c, t)
     assert p.nilpotency == 2
     perturb(c, p).validate()
+
+
+def test_transfer_raises_past_its_series_bound():
+    # X has `length` nonzero terms; one step fewer trips the bound
+    c = random_contraction(SplitRng(3).split("c"), 2, 6)
+    p = random_perturbation(SplitRng(3).split("t"), c, 2, 6)
+    th = p.t.compose(c.h)
+    length = next(k for k in range(p.nilpotency + 1) if th.power(k).compose(p.t).is_zero())
+    assert 1 < length <= p.nilpotency
+    transfer(c, p.t, length)
+    with pytest.raises(RuntimeError, match="^X series failed to terminate$"):
+        transfer(c, p.t, length - 1)

@@ -23,7 +23,9 @@ from koszul_perturb import (
 )
 from koszul_perturb.algebra import key_parity
 from koszul_perturb.connection import r_tilde_op
-from koszul_perturb.homcomplex import EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, tensorize
+from koszul_perturb.homcomplex import (
+    EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, p_gv, p_t, r_residue, tensorize
+)
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import (
     perturbation_t,
@@ -121,6 +123,18 @@ def test_truncated_operand_stays_truncated():
         clean, flagged = op(G(cfg, terms)), op(G(cfg, terms, truncated=True))
         assert not clean.is_zero() and not clean.truncated
         assert flagged == clean and flagged.truncated
+
+
+def test_series_keep_the_flag_of_an_operand_whose_first_term_vanishes():
+    cfg = ModelConfig(2, 2, 2)
+    r = random_curvature(SplitRng(5), 2, 2)
+    w_e1 = {(0b01, (), 0, 0b01): F(1)}  # P_K and δP_Ǩ both kill w·ē_1
+    v1 = {(0, (1,), 0, 0): F(2)}  # π_T kills v_1
+    cases = ((p_t, w_e1), (p_gv, w_e1), (r_residue, v1), (lambda x: q_sigma(r, cfg, x), {}))
+    for op, terms in cases:
+        clean, flagged = op(G(cfg, terms)), op(G(cfg, terms, truncated=True))
+        assert clean.is_zero() and not clean.truncated
+        assert flagged.is_zero() and flagged.truncated
 
 
 def _two_pass_commutator(t_op, f):

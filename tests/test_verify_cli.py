@@ -55,10 +55,11 @@ def test_check_results_do_not_depend_on_run_order(suite, cfg):
     ]
 
 
-def test_masked_report_digest_is_pinned():
-    report = run_suite("all", ModelConfig(1, 2, 2), seed=0)
+@pytest.mark.parametrize("cfg, want", [((1, 2, 2), "86149e8b244f3108"), ((2, 3, 3), "0988946389a62352")])
+def test_masked_report_digest_is_pinned(cfg, want):
+    report = run_suite("all", ModelConfig(*cfg), seed=0)
     digest = hashlib.sha256(report.to_json(mask_timing=True).encode()).hexdigest()[:16]
-    assert digest == "86149e8b244f3108"
+    assert digest == want
 
 
 def test_report_text_and_dict_shapes():
@@ -151,6 +152,20 @@ def test_cli_todd_routes_and_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["todd", "--input", _r_rand(tmp_path), "--route", "exp", "--m", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["route"] == "exp"
+
+
+def test_cli_todd_does_not_depend_on_m(tmp_path, capsys):
+    # the class lives in ΛW ⊗ ∧V∨, so m = 0 gives the m = 4 class
+    payloads = []
+    for m in ("0", "4"):
+        assert main(["todd", "--input", _r_rand(tmp_path), "--m", m]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0]["todd"].pop("m") == 0 and payloads[1]["todd"].pop("m") == 4
+    assert payloads[0] == payloads[1]
+    # q_σ's derivation t has symmetric letters, so it still needs m ≥ 1
+    eta = _write(tmp_path / "eta.json", [{"w": [], "s": [], "a": [], "b": [1, 2], "c": "1"}])
+    assert main(["q-sigma", "--input", _r_rand(tmp_path), "--eta", eta, "--m", "0"]) == 2
+    assert capsys.readouterr().err == "error: symmetric degree exceeds truncation\n"
 
 
 def test_cli_todd_text_mode(tmp_path, capsys):
