@@ -65,8 +65,6 @@ from .todd import (
     perturbed_contractions,
     q_sigma,
     q_sigma_step,
-    q_sigma_via_contraction,
-    rho,
     todd_det,
     todd_exp,
     todd_series_coeff,
@@ -131,8 +129,6 @@ __all__ = [
     "perturbed_contractions",
     "q_sigma",
     "q_sigma_step",
-    "q_sigma_via_contraction",
-    "rho",
     "todd_det",
     "todd_exp",
     "todd_series_coeff",

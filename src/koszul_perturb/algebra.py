@@ -170,15 +170,6 @@ class GradedElement:
             return GradedElement(self.config, {}, self.truncated)
         return GradedElement(self.config, {k: v * c for k, v in self.terms.items()}, self.truncated)
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -208,14 +199,6 @@ class GradedElement:
                 c = c1 * c2
                 out[key] = out.get(key, 0) + (c if sign > 0 else -c)
         return GradedElement(cfg, out, truncated)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedElement):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     # -- inspection -----------------------------------------------------
     def restrict(self, pred) -> "GradedElement":

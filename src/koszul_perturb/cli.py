@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--e", type=int, default=3, help="dim W (default 3)")
     p_verify.add_argument("--m", type=int, default=4, help="symmetric truncation (default 4)")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-order", type=int, default=None, dest="max_order",
-                          help="connection recursion depth (default min(e, 6))")
     _output_flags(p_verify)
 
     p_todd = sub.add_parser("todd", help="generalized Todd class of a curvature input")
@@ -82,7 +80,7 @@ def _todd_dict(tc) -> dict:
 
 def _cmd_verify(args) -> int:
     cfg = ModelConfig(args.d, args.e, args.m)
-    report = run_suite(args.suite, cfg, seed=args.seed, max_order=args.max_order)
+    report = run_suite(args.suite, cfg, seed=args.seed)
     _emit(report.to_json() if args.as_json else report.to_text(), args.out)
     return 0 if report.overall else 1
 

@@ -227,13 +227,9 @@ def next_component(cc: ConnectionComponents) -> tuple[Operator, GradedElement, G
     return extend_derivation(g), g, defect
 
 
-def build_connection(
-    r: CurvatureInput, cfg: ModelConfig, max_order: int | None = None
-) -> ConnectionComponents:
+def build_connection(r: CurvatureInput, cfg: ModelConfig, max_order: int) -> ConnectionComponents:
     if cfg.d != r.d or cfg.e != r.e:
         raise ValueError("config and curvature dimensions disagree")
-    if max_order is None:
-        max_order = min(r.e, r.d, 6)
     if max_order < 0 or max_order > r.e:
         raise ValueError("max_order must lie in 0..e (higher orders vanish)")
     dk_value = GradedElement.zero(cfg)
@@ -311,17 +307,20 @@ def _polarized_matrix(r: CurvatureInput, cfg: ModelConfig) -> list[list[GradedEl
     return mat
 
 
-def polarized_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> list[list[GradedElement]]:
-    """M^k for the polarized matrix M, as d×d entries over ΛW ⊗ ∧V∨; M⁰ = 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+def polarized_powers(r: CurvatureInput, cfg: ModelConfig) -> list[list[list[GradedElement]]]:
+    """[M^0, …, M^n] for the polarized matrix M, n = min(d, e), in one pass.
+
+    Each power is d×d entries over ΛW ⊗ ∧V∨, with M⁰ = 1.  The entries of M^k
+    lie in Λ^kW ⊗ ∧^kV∨, so every power beyond n is zero.
+    """
     mat = _polarized_matrix(r, cfg)
     d = cfg.d
     power = [
         [GradedElement.unit(cfg) if i == j else GradedElement.zero(cfg) for j in range(d)]
         for i in range(d)
     ]
-    for _ in range(k):
+    powers = [power]
+    for _ in range(min(d, cfg.e)):
         nxt = [[GradedElement.zero(cfg) for _ in range(d)] for _ in range(d)]
         for i in range(d):
             for j in range(d):
@@ -330,18 +329,14 @@ def polarized_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> list[list[Gr
                     acc = acc.add(mat[i][t].mul(power[t][j]))
                 nxt[i][j] = acc
         power = nxt
-    return power
+        powers.append(power)
+    return powers
 
 
-def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
-    """Alt[R^{⊗k}] in Λ^kW ⊗ ∧^kV∨ ⊗ End(V∨), encoded as Σ entry·v_i ⊗ ē_j.
-
-    Composition of End slots with wedging of W and N∨ slots is exactly the
-    k-th power of the polarized matrix over the commutative even subalgebra,
-    whose (i, j) entry sits on v_i ⊗ ē_j.
-    """
+def matrix_tensor(cfg: ModelConfig, mat: list[list[GradedElement]]) -> GradedElement:
+    """A d×d matrix over ΛW ⊗ ∧V∨ as the End tensor Σ entry·v_i ⊗ ē_j."""
     out = GradedElement.zero(cfg)
-    for i, row in enumerate(polarized_power(r, cfg, k)):
+    for i, row in enumerate(mat):
         for j, entry in enumerate(row):
             if entry.is_zero():
                 continue
@@ -349,3 +344,16 @@ def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
                 entry.mul(GradedElement.s_gen(cfg, i + 1)).mul(GradedElement.b_gen(cfg, j + 1))
             )
     return out
+
+
+def alt_power(r: CurvatureInput, cfg: ModelConfig, k: int) -> GradedElement:
+    """Alt[R^{⊗k}] in Λ^kW ⊗ ∧^kV∨ ⊗ End(V∨), encoded as Σ entry·v_i ⊗ ē_j.
+
+    Composition of End slots with wedging of W and N∨ slots is exactly the
+    k-th power of the polarized matrix over the commutative even subalgebra,
+    whose (i, j) entry sits on v_i ⊗ ē_j.  Zero for k > min(d, e).
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    powers = polarized_powers(r, cfg)
+    return matrix_tensor(cfg, powers[k]) if k < len(powers) else GradedElement.zero(cfg)

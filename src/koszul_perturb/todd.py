@@ -3,9 +3,11 @@ endomorphism q_σ it induces on ΛW ⊗ ∧V.
 
 The class is computed by two independent routes that must agree: the
 exponential of Σ_n ρ_n/n, where ρ_n is the trace of the n-th power M^n of
-the polarized curvature matrix, and the Leibniz determinant of
-Σ_n t_n·(polarized R)^n over the commutative even subalgebra, with t_n the
-power-series coefficients of x/(1 − e^{−x}).  q_σ also comes in two routes:
+the polarized curvature matrix, and the Leibniz determinant of the Todd
+matrix Σ_n t_n·M^n over the commutative even subalgebra, with t_n the
+power-series coefficients of x/(1 − e^{−x}).  Both read one pass of powers
+M^0…M^n; the Todd matrix minus the identity gives the generator values of
+the perturbing derivation t.  q_σ also comes in two routes:
 an element-level series accumulating the perturbed inclusion (−P_GV T)^k i_H
 under π_T, and a matrix-level transfer of both End-complex contractions
 across the perturbation T = [t, −].  The headline identity q_σ(η) = Td ⌟ η on
@@ -33,22 +35,20 @@ from functools import lru_cache
 from itertools import permutations
 
 from .algebra import GradedElement, ModelConfig, key_parity, terms_to_json
-from .connection import CurvatureInput, alt_power, polarized_power
+from .connection import CurvatureInput, matrix_tensor, polarized_powers
 from .homcomplex import (
     EndSpace,
-    WedgeSpace,
     apply_end,
     end_contractions,
     extend_derivation,
     i_h,
-    matrix_callable,
     p_gv,
     pi_t,
     series_bound,
     tensorize,
 )
-from .perturbation import Contraction, alternating_series, transfer
-from .sparse import matrix_of
+from .perturbation import alternating_series, transfer
+from .sparse import LinearMap, matrix_of
 
 
 # -- Bernoulli numbers and the Todd power series ------------------------------
@@ -87,22 +87,32 @@ def todd_series_coeff(n: int) -> Fraction:
 
 # -- traces and the ρ_n forms --------------------------------------------------
 
-def rho(r: CurvatureInput, cfg: ModelConfig, n: int) -> GradedElement:
-    """ρ_n ∈ Λ^nW ⊗ ∧^nV∨: the normalized trace of Alt[R^{⊗n}] = M^n.
+def rho_forms(r: CurvatureInput, cfg: ModelConfig) -> list[GradedElement]:
+    """[ρ_1, …, ρ_n], n = min(d, e): ρ_n ∈ Λ^nW ⊗ ∧^nV∨ is the normalized
+    trace of Alt[R^{⊗n}] = M^n, all read off one pass of curvature powers.
 
     The coefficient is −(−1)^n B_n/n! = t_n/n·(n-free part): equal to
     −B_n/n! for even n and to +1/2 at n = 1 (the convention note above).
+    ρ_n vanishes for n > min(d, e).
     """
-    if n < 1:
-        raise ValueError("rho is defined for n ≥ 1")
-    if n > min(cfg.d, cfg.e):
-        return GradedElement.zero(cfg)
-    coeff = -Fraction((-1) ** n) * bernoulli(n) / math.factorial(n)
-    power = polarized_power(r, cfg, n)
-    trace = GradedElement.zero(cfg)
-    for i in range(cfg.d):
-        trace = trace.add(power[i][i])
-    return trace.scale(coeff)
+    out = []
+    for n, power in enumerate(polarized_powers(r, cfg)[1:], 1):
+        trace = GradedElement.zero(cfg)
+        for i in range(cfg.d):
+            trace = trace.add(power[i][i])
+        out.append(trace.scale(-Fraction((-1) ** n) * bernoulli(n) / math.factorial(n)))
+    return out
+
+
+def todd_matrix(powers: list) -> list[list[GradedElement]]:
+    """Σ_n t_n·M^n entry by entry, from the curvature powers [M^0, …, M^n]."""
+    entries = [list(row) for row in powers[0]]
+    for n, power in enumerate(powers[1:], 1):
+        coeff = todd_series_coeff(n)
+        for i, row in enumerate(power):
+            for j, entry in enumerate(row):
+                entries[i][j] = entries[i][j].add(entry.scale(coeff))
+    return entries
 
 
 # -- the Todd class, two ways --------------------------------------------------
@@ -135,8 +145,8 @@ class ToddClass:
 def todd_exp(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
     """exp(Σ_n ρ_n/n) — finite because every ρ_n has positive ΛW degree."""
     log = GradedElement.zero(cfg)
-    for n in range(1, min(cfg.d, cfg.e) + 1):
-        log = log.add(rho(r, cfg, n).scale(Fraction(1, n)))
+    for n, rho_n in enumerate(rho_forms(r, cfg), 1):
+        log = log.add(rho_n.scale(Fraction(1, n)))
     acc = GradedElement.unit(cfg)
     term = GradedElement.unit(cfg)
     for k in range(1, cfg.e + 1):
@@ -148,15 +158,10 @@ def todd_exp(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
 
 
 def todd_det(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
-    """Leibniz determinant of 1 + Σ_n t_n·(polarized R)^n over ΛW ⊗ ∧V∨."""
+    """Leibniz determinant of the Todd matrix 1 + Σ_n t_n·(polarized R)^n over ΛW ⊗ ∧V∨."""
     if cfg.d > 3:
         raise ValueError("Leibniz-determinant route supports d ≤ 3")
-    entries = polarized_power(r, cfg, 0)
-    for n in range(1, min(cfg.d, cfg.e) + 1):
-        coeff = todd_series_coeff(n)
-        for i, row in enumerate(polarized_power(r, cfg, n)):
-            for j, entry in enumerate(row):
-                entries[i][j] = entries[i][j].add(entry.scale(coeff))
+    entries = todd_matrix(polarized_powers(r, cfg))
     det = GradedElement.zero(cfg)
     for perm in permutations(range(cfg.d)):
         inversions = sum(
@@ -174,11 +179,10 @@ def todd_det(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
 # -- the perturbing derivation t and T = [t, −] --------------------------------
 
 def perturbation_t_value(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
-    """Generator-value tensor Σ_{n≥1} t_n·Alt[R^{⊗n}] of the derivation t."""
-    acc = GradedElement.zero(cfg)
-    for n in range(1, min(cfg.d, cfg.e) + 1):
-        acc = acc.add(alt_power(r, cfg, n).scale(todd_series_coeff(n)))
-    return acc
+    """Generator-value tensor Σ_{n≥1} t_n·Alt[R^{⊗n}] of the derivation t:
+    the Todd matrix minus the identity, as Σ entry·v_i ⊗ ē_j."""
+    powers = polarized_powers(r, cfg)
+    return matrix_tensor(cfg, todd_matrix(powers)).sub(matrix_tensor(cfg, powers[0]))
 
 
 def perturbation_t(r: CurvatureInput, cfg: ModelConfig):
@@ -228,10 +232,8 @@ def _gv_step(t_op):
     return lambda x: p_gv(t_commutator(t_op, x))
 
 
-def q_sigma_step(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) -> GradedElement:
+def q_sigma_step(eta: GradedElement, t_op) -> GradedElement:
     """One series step −π_T P_GV [t, i_H(η)] ∈ ΛW ⊗ ∧V."""
-    if t_op is None:
-        t_op = perturbation_t(r, cfg)
     return pi_t(_gv_step(t_op)(i_h(eta))).scale(-1)
 
 
@@ -253,8 +255,9 @@ def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) 
 
 # -- q_σ, matrix route -----------------------------------------------------------
 
-def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> tuple[Contraction, Contraction]:
-    """Both End-complex contractions (T, GV) after the T = [t, −] transfer.
+def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> LinearMap:
+    """The q_σ matrix f′_T ∘ g′_GV on ΛW ⊗ ∧V, from the T = [t, −] transfer
+    of both End-complex contractions (T and GV).
 
     The perturbed projections provably equal the unperturbed ones and the
     transferred differential on ΛW ⊗ ∧V stays zero — T's image has positive
@@ -275,12 +278,4 @@ def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> tuple[Contrac
         raise ValueError("perturbed projection moved — T must have positive order")
     if not pert_t.d_a.is_zero() or not pert_gv.d_a.is_zero():
         raise ValueError("transferred differential on ΛW ⊗ ∧V must vanish")
-    return pert_t, pert_gv
-
-
-def q_sigma_via_contraction(
-    r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, pc: tuple[Contraction, Contraction] | None = None
-) -> GradedElement:
-    """q_σ(η) = perturbed π_T ∘ perturbed GV inclusion, via the transfer engine (oracle for q_sigma)."""
-    pert_t, pert_gv = perturbed_contractions(r, cfg) if pc is None else pc
-    return matrix_callable(pert_t.f.compose(pert_gv.g), WedgeSpace(cfg))(eta)
+    return pert_t.f.compose(pert_gv.g)

@@ -95,7 +95,7 @@ from .todd import (
     perturbed_contractions,
     q_sigma,
     q_sigma_step,
-    rho,
+    rho_forms,
     todd_det,
     todd_exp,
     todd_series_coeff,
@@ -496,12 +496,17 @@ def _curvatures(rng: SplitRng, cfg: ModelConfig, label: str, runs: int) -> list:
     return [random_curvature(child.split(t), cfg.d, cfg.e) for t in range(runs)]
 
 
-def _suite_connection(cfg: ModelConfig, rng: SplitRng, max_order=None):
+def _connection_depth(cfg: ModelConfig) -> int:
+    """The recursion depth the suites build the connection to."""
+    return min(cfg.e, 6)
+
+
+def _suite_connection(cfg: ModelConfig, rng: SplitRng):
     if cfg.m < 2:
         raise ValueError("connection suite needs m >= 2 (curvature is quadratic)")
     if cfg.e < 1:
         raise ValueError("connection suite needs e >= 1")
-    mo = min(cfg.e, 6) if max_order is None else max_order
+    mo = _connection_depth(cfg)
     runs = 3
 
     def curvature_roundtrip():
@@ -628,12 +633,12 @@ def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t_op, rules) -> tup
     {name: [(key, l, got, want)] for each η where that rule's law fails}).
     """
     ws = WedgeSpace(cfg)
-    rhos = [(j, rho(r, cfg, j)) for j in range(1, min(cfg.d, cfg.e) + 1)]
+    rhos = list(enumerate(rho_forms(r, cfg), 1))
     bad = {name: [] for name in rules}
     for key in ws.keys:
         eta = ws.element(key)
         l = key[3].bit_count()
-        got = q_sigma_step(r, cfg, eta, t_op)
+        got = q_sigma_step(eta, t_op)
         contractions = [(j, interior_product(rj, eta)) for j, rj in rhos]
         for name, rule in rules.items():
             want = GradedElement.zero(cfg)
@@ -709,8 +714,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
 
     def perturbed_transfer():
         r = _curvatures(rng, cfg, "engine", runs)[0]
-        pert_t, pert_gv = perturbed_contractions(r, cfg)  # asserts projections fixed
-        q_mat = matrix_callable(pert_t.f.compose(pert_gv.g), ws)
+        q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)  # asserts projections fixed
         t_op = perturbation_t(r, cfg)
         bad = []
         for key in ws.keys:
@@ -743,7 +747,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
             if tv.restrict(lambda k: k[0].bit_count() == 1) != wedge_generator_value(r, cfg):
                 bad.append(f"run={idx} k=1")
             if idx == 0:
-                cc = build_connection(r, cfg, max_order=min(cfg.e, 6))
+                cc = build_connection(r, cfg, max_order=_connection_depth(cfg))
                 for k in range(2, cc.max_order + 1):
                     total += 1
                     got = first_order_part(cc.generator_values[k], k)
@@ -866,7 +870,7 @@ def _run_check(item):
     return CheckResult(name, "pass" if ok else "fail", lhs, rhs, elapsed)
 
 
-def run_suite(suite: str, cfg: ModelConfig, seed: int = 0, max_order=None) -> Report:
+def run_suite(suite: str, cfg: ModelConfig, seed: int = 0) -> Report:
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_BUILDERS:
@@ -876,11 +880,7 @@ def run_suite(suite: str, cfg: ModelConfig, seed: int = 0, max_order=None) -> Re
     root = SplitRng(seed)
     checks = []
     for name in names:
-        builder = _SUITE_BUILDERS[name]
-        if name == "connection":
-            checks.extend(builder(cfg, root.split(name), max_order=max_order))
-        else:
-            checks.extend(builder(cfg, root.split(name)))
+        checks.extend(_SUITE_BUILDERS[name](cfg, root.split(name)))
     results = [_run_check(item) for item in checks]
     results.sort(key=lambda c: c.name)
     return Report(suite, cfg, seed, tuple(results))

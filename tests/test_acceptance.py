@@ -21,7 +21,6 @@ from koszul_perturb import (
     partitions_of,
     perturb,
     q_sigma,
-    q_sigma_via_contraction,
     random_contraction,
     random_curvature,
     run_suite,
@@ -29,7 +28,7 @@ from koszul_perturb import (
     todd_exp,
 )
 from koszul_perturb.connection import square_sums
-from koszul_perturb.homcomplex import WedgeSpace
+from koszul_perturb.homcomplex import WedgeSpace, matrix_callable
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.perturbation import random_perturbation
 from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
@@ -213,16 +212,16 @@ def test_criterion_8_series_vs_transfer_engine(criterion_recorder):
         cfg = ModelConfig(d, e, 4)
         r = _curvatures(f"criterion8:{d}:{e}", d, e, runs=1)[0]
         # clause 1: the End-level series equals the transferred-contraction composite
-        pc = perturbed_contractions(r, cfg)
         ws = WedgeSpace(cfg)
+        q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)
+        t_op = perturbation_t(r, cfg)
         for key in ws.keys:
             eta = ws.element(key)
-            if q_sigma_via_contraction(r, cfg, eta, pc=pc) != q_sigma(r, cfg, eta):
+            if q_mat(eta) != q_sigma(r, cfg, eta, t_op):
                 series_failures.append((d, e, key))
         # clause 2: the perturbing derivation t versus the connection tail Σ_{k≥1} 𝕂^k
         cc = build_connection(r, cfg, max_order=min(e, 6))
         ks = KoszulSpace(cfg)
-        t_op = perturbation_t(r, cfg)
         t_mat = matrix_of(t_op, ks, allow_truncation=True)
         tail_mat = matrix_of(cc.tail, ks, allow_truncation=True)
         if t_mat != tail_mat:

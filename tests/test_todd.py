@@ -14,27 +14,28 @@ from koszul_perturb import (
     bernoulli,
     interior_product,
     q_sigma,
-    q_sigma_via_contraction,
     random_curvature,
-    rho,
     todd_det,
     todd_exp,
     todd_series_coeff,
 )
 from koszul_perturb.algebra import key_parity
-from koszul_perturb.connection import r_tilde_op
+from koszul_perturb.connection import _polarized_matrix, alt_power, polarized_powers, r_tilde_op
 from koszul_perturb.homcomplex import (
-    EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, p_gv, p_t, r_residue, tensorize
+    EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, matrix_callable, p_gv, p_t, r_residue,
+    tensorize,
 )
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import (
     perturbation_t,
     perturbation_t_value,
     perturbed_contractions,
+    rho_forms,
     t_commutator,
 )
 from koszul_perturb.verify import STEP_LAWS, step_law_mismatches, top_degree_mismatches
 
+from itertools import permutations
 from math import factorial
 
 
@@ -66,13 +67,13 @@ def test_todd_series_table():
 def test_rho_dimension_one():
     cfg = ModelConfig(1, 1, 4)
     r = CurvatureInput.make(1, 1, {(1, 1, 1, 1): F(3, 2)})
-    assert rho(r, cfg, 1) == mono(cfg, w=0b1, a=0b1, c=F(3, 2))
+    assert rho_forms(r, cfg) == [mono(cfg, w=0b1, a=0b1, c=F(3, 2))]
 
 
 def test_rho_odd_orders_vanish():
     cfg = ModelConfig(3, 3, 3)
     r = random_curvature(SplitRng(9).split("x"), 3, 3)
-    assert rho(r, cfg, 3).is_zero()
+    assert rho_forms(r, cfg)[2].is_zero()
 
 
 def test_perturbation_t_value_dimension_one():
@@ -225,6 +226,100 @@ def test_todd_json_roundtrip():
     assert terms_from_json(cfg, data["terms"]) == td.value
 
 
+# -- the power pass against the per-k construction -----------------------------------
+
+def _per_k_power(r, cfg, k):
+    # M^k rebuilt from M^0 for every k, as each route once did
+    mat = _polarized_matrix(r, cfg)
+    d = cfg.d
+    power = [[G.unit(cfg) if i == j else G.zero(cfg) for j in range(d)] for i in range(d)]
+    for _ in range(k):
+        nxt = [[G.zero(cfg) for _ in range(d)] for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                acc = G.zero(cfg)
+                for t in range(d):
+                    acc = acc.add(mat[i][t].mul(power[t][j]))
+                nxt[i][j] = acc
+        power = nxt
+    return power
+
+
+def _per_k_alt_power(r, cfg, k):
+    out = G.zero(cfg)
+    for i, row in enumerate(_per_k_power(r, cfg, k)):
+        for j, entry in enumerate(row):
+            if not entry.is_zero():
+                out = out.add(entry.mul(G.s_gen(cfg, i + 1)).mul(G.b_gen(cfg, j + 1)))
+    return out
+
+
+def _per_k_rho(r, cfg, n):
+    power = _per_k_power(r, cfg, n)
+    trace = G.zero(cfg)
+    for i in range(cfg.d):
+        trace = trace.add(power[i][i])
+    return trace.scale(-F((-1) ** n) * bernoulli(n) / factorial(n))
+
+
+def _per_k_t_value(r, cfg):
+    acc = G.zero(cfg)
+    for n in range(1, min(cfg.d, cfg.e) + 1):
+        acc = acc.add(_per_k_alt_power(r, cfg, n).scale(todd_series_coeff(n)))
+    return acc
+
+
+def _per_k_todd_exp(r, cfg):
+    log = G.zero(cfg)
+    for n in range(1, min(cfg.d, cfg.e) + 1):
+        log = log.add(_per_k_rho(r, cfg, n).scale(F(1, n)))
+    acc = term = G.unit(cfg)
+    for k in range(1, cfg.e + 1):
+        term = term.mul(log).scale(F(1, k))
+        if term.is_zero():
+            break
+        acc = acc.add(term)
+    return acc
+
+
+def _per_k_todd_det(r, cfg):
+    entries = _per_k_power(r, cfg, 0)
+    for n in range(1, min(cfg.d, cfg.e) + 1):
+        coeff = todd_series_coeff(n)
+        for i, row in enumerate(_per_k_power(r, cfg, n)):
+            for j, entry in enumerate(row):
+                entries[i][j] = entries[i][j].add(entry.scale(coeff))
+    det = G.zero(cfg)
+    for perm in permutations(range(cfg.d)):
+        inversions = sum(1 for x in range(cfg.d) for y in range(x + 1, cfg.d) if perm[x] > perm[y])
+        prod = G.unit(cfg).scale(F((-1) ** inversions))
+        for i in range(cfg.d):
+            prod = prod.mul(entries[i][perm[i]])
+            if prod.is_zero():
+                break
+        det = det.add(prod)
+    return det
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_power_pass_matches_the_per_k_construction(data):
+    d, e = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    cfg = ModelConfig(d, e, data.draw(st.integers(1, 3)))
+    r = random_curvature(SplitRng(data.draw(st.integers(0, 10**6))), d, e)
+    n = min(d, e)
+    powers = polarized_powers(r, cfg)
+    assert len(powers) == n + 1
+    for k in range(n + 2):
+        want = _per_k_power(r, cfg, k)
+        assert (powers[k] if k <= n else [[G.zero(cfg)] * d] * d) == want, k
+        assert alt_power(r, cfg, k) == _per_k_alt_power(r, cfg, k), k
+    assert perturbation_t_value(r, cfg) == _per_k_t_value(r, cfg)
+    assert rho_forms(r, cfg) == [_per_k_rho(r, cfg, j) for j in range(1, n + 1)]
+    assert todd_exp(r, cfg).value == _per_k_todd_exp(r, cfg)
+    assert todd_det(r, cfg).value == _per_k_todd_det(r, cfg)
+
+
 # -- q_σ -----------------------------------------------------------------------------
 
 def test_q_sigma_zero_curvature_is_identity():
@@ -308,8 +403,9 @@ def test_single_step_fresh_law_d2_and_display_mismatch():
 def test_perturbed_contraction_route_agrees():
     cfg = ModelConfig(1, 2, 4)
     r = random_curvature(SplitRng(2).split("pc"), 1, 2)
-    pc = perturbed_contractions(r, cfg)
     ws = WedgeSpace(cfg)
+    q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)
+    t_op = perturbation_t(r, cfg)
     for key in ws.keys:
         eta = ws.element(key)
-        assert q_sigma_via_contraction(r, cfg, eta, pc=pc) == q_sigma(r, cfg, eta), key
+        assert q_mat(eta) == q_sigma(r, cfg, eta, t_op), key

@@ -252,3 +252,10 @@ def test_cli_rejects_non_fraction_literal_in_one_line(tmp_path, capsys, command,
         argv += ["--eta", _write(tmp_path / "eta.json", [{"b": [1], "c": "1"}])]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: bad rational literal {literal!r}\n"
+
+
+def test_cli_verify_has_no_max_order_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "connection", "--max-order", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-order 2" in capsys.readouterr().err
