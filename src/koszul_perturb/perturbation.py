@@ -3,8 +3,8 @@
 Everything is an exact sparse matrix over ℚ.  A contraction is the five-tuple
 (d_B, d_A, f, g, h) with f g = 1, 1 − g f = d_B h + h d_B and the side
 conditions f h = 0, h h = 0, h g = 0; a perturbation is t with (d_B + t)²
-= 0 and t h nilpotent.  The transferred data is computed from the finite
-series X = t − t h t + t h t h t − ⋯ .
+= 0 and t h nilpotent.  Every transferred map is read off the one series
+h′ = (1 + h t)^{−1} h = h − h t h + ⋯ (M. Crainic, arXiv:math/0403266).
 """
 from __future__ import annotations
 
@@ -98,23 +98,18 @@ def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
 def transfer(c: Contraction, t: LinearMap, bound: int) -> Contraction:
     """The perturbed five-tuple, with no square-zero or output validation.
 
-    The connection-perturbation route feeds in a t whose square-zero defect
-    is itself under study, so the formula core must stay usable without the
-    Perturbation invariants.
+    f′ = f − f t h′, g′ = g − h′ t g and d_a′ = d_a + f t g′, where h′ =
+    Σ_k (−1)^k (h t)^k h must end within `bound` steps.  No Perturbation
+    invariant is needed: in the Todd route (d_B + T)² need not vanish.
     """
-    x = x_series(c, t, bound)
-    # f∘(1 − x h), (1 − h x)∘g and h − h x h, with f∘x and h∘x formed once;
-    # h∘x also serves the fixed-point check X = t − t h X
-    fx, hx = c.f.compose(x), c.h.compose(x)
-    if x != t.sub(t.compose(hx)):
-        raise ValueError("X series does not solve its fixed-point equation")
-    return Contraction(
-        d_b=c.d_b.add(t),
-        d_a=c.d_a.add(fx.compose(c.g)),
-        f=c.f.sub(fx.compose(c.h)),
-        g=c.g.sub(hx.compose(c.g)),
-        h=c.h.sub(hx.compose(c.h)),
-    )
+    ht = c.h.compose(t)
+    h_new = alternating_series(c.h, ht.compose, bound, "h′")
+    if h_new != c.h.sub(ht.compose(h_new)):
+        raise ValueError("h′ series does not solve its fixed-point equation")
+    ft = c.f.compose(t)
+    g_new = c.g.sub(h_new.compose(t.compose(c.g)))
+    return Contraction(c.d_b.add(t), c.d_a.add(ft.compose(g_new)),
+                       c.f.sub(ft.compose(h_new)), g_new, h_new)
 
 
 def perturb(c: Contraction, p: Perturbation) -> Contraction:

@@ -15,6 +15,7 @@ todd_pigti_fresh_step).  See the README for the full status table.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -423,22 +424,22 @@ def _suite_hom(cfg: ModelConfig, rng: SplitRng):
 
 # -- perturbation suite --------------------------------------------------------
 
-def _perturbation_instances(rng: SplitRng):
-    out = []
-    for trial in range(8):
-        child = rng.split(f"pair{trial}")
-        a_dim = child.randint(1, 6)
-        cones = child.randint(1, 10)
-        c = random_contraction(child.split("c"), a_dim, cones)
-        p = random_perturbation(child.split("t"), c, a_dim, cones)
-        out.append((c, p))
-    return out
-
-
 def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
+    @functools.cache
+    def instances():
+        out = []
+        for trial in range(8):
+            child = rng.split("transfer").split(f"pair{trial}")
+            a_dim = child.randint(1, 6)
+            cones = child.randint(1, 10)
+            c = random_contraction(child.split("c"), a_dim, cones)
+            p = random_perturbation(child.split("t"), c, a_dim, cones)
+            out.append((c, p))
+        return out
+
     def transfer_identities():
         bad = []
-        pairs = _perturbation_instances(rng.split("transfer"))
+        pairs = instances()
         for idx, (c, p) in enumerate(pairs):
             try:
                 perturb(c, p)  # validates input and output five-tuples
@@ -448,7 +449,7 @@ def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
 
     def fixed_point():
         bad = []
-        pairs = _perturbation_instances(rng.split("transfer"))
+        pairs = instances()
         for idx, (c, p) in enumerate(pairs):
             x = x_series(c, p.t, p.nilpotency)
             if x != p.t.sub(p.t.compose(c.h).compose(x)):
@@ -457,7 +458,7 @@ def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
 
     def nilpotency():
         bad = []
-        pairs = _perturbation_instances(rng.split("transfer"))
+        pairs = instances()
         for idx, (c, p) in enumerate(pairs):
             th = p.t.compose(c.h)
             if not th.power(p.nilpotency).is_zero():
@@ -468,7 +469,7 @@ def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
 
     def zero_idempotent():
         bad = []
-        pairs = _perturbation_instances(rng.split("transfer"))
+        pairs = instances()
         for idx, (c, _p) in enumerate(pairs):
             z = LinearMap.zero(c.d_b.dom, c.d_b.dom)
             out = transfer(c, z, 1)
@@ -533,16 +534,14 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng):
                 bad.append(f"run={idx} lhs={_ser_elem(lhs)} rhs={_ser_elem(rhs)}")
         return _tally(bad, runs)
 
-    def _built(label):
-        out = []
-        for r in _curvatures(rng, cfg, label, runs):
-            out.append((r, build_connection(r, cfg, max_order=mo)))
-        return out
+    @functools.cache
+    def built():
+        return [(r, build_connection(r, cfg, max_order=mo)) for r in _curvatures(rng, cfg, "build", runs)]
 
     def coefficient(k: int, weight: Fraction):
         def check():
             bad = []
-            for idx, (r, cc) in enumerate(_built("build")):
+            for idx, (r, cc) in enumerate(built()):
                 got = first_order_part(cc.generator_values[k], k)
                 want = alt_power(r, cfg, k).scale(weight)
                 if got != want:
@@ -554,7 +553,7 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng):
     def k3_vanishing():
         bad = []
         total = 0
-        for idx, (_r, cc) in enumerate(_built("build")):
+        for idx, (_r, cc) in enumerate(built()):
             for k in range(3, cc.max_order + 1, 2):
                 total += 1
                 got = first_order_part(cc.generator_values[k], k)
@@ -564,7 +563,7 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng):
 
     def total_integrability():
         bad = []
-        for idx, (_r, cc) in enumerate(_built("build")):
+        for idx, (_r, cc) in enumerate(built()):
             defects = _integrability_defects(cc)
             if defects:
                 bad.append(f"run={idx}: {len(defects)} nonzero sums; first: {defects[0]}")
@@ -673,11 +672,9 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         want = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720),
                 Fraction(0), Fraction(1, 30240)]
         got = [todd_series_coeff(n) for n in range(len(want))]
-        bad = got != want
-        for n in range(2, 11):
-            if todd_series_coeff(n) != bernoulli(n) / math.factorial(n):
-                bad = True
-        ok = not bad
+        ok = got == want and all(
+            todd_series_coeff(n) == bernoulli(n) / math.factorial(n) for n in range(2, 11)
+        )
         return ok, ",".join(map(format_rational, got)), ",".join(map(format_rational, want))
 
     def route_agreement():
@@ -723,14 +720,16 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
                 bad.append(f"eta={key}")
         return _tally(bad, ws.dim)
 
-    def step_law(name):
-        rules = {name: STEP_LAWS[name]}
+    @functools.cache
+    def step_passes():
+        return [step_law_mismatches(r, cfg, perturbation_t(r, cfg), STEP_LAWS)
+                for r in _curvatures(rng, cfg, "pigti", runs)]
 
+    def step_law(name):
         def check():
             bad = []
             total = 0
-            for idx, r in enumerate(_curvatures(rng, cfg, "pigti", runs)):
-                checked, misses = step_law_mismatches(r, cfg, perturbation_t(r, cfg), rules)
+            for idx, (checked, misses) in enumerate(step_passes()):
                 total += checked
                 for key, l, got, want in misses[name]:
                     bad.append(f"run={idx} eta={key} l={l} got={_ser_elem(got)} want={_ser_elem(want)}")
@@ -870,6 +869,29 @@ def _run_check(item):
     return CheckResult(name, "pass" if ok else "fail", lhs, rhs, elapsed)
 
 
+# Largest basis a suite may enumerate: dim K = 2^(e+d)·C(d+m, m) for the
+# koszul and connection suites, dim End = 2^d·dim K for those that build End
+# matrices.  The largest End any documented config uses is 35,840 at (3,4,4).
+_MAX_BASIS_DIM = 1 << 16
+_BASIS_D_POWER = {"koszul": 1, "connection": 1, "hom": 2, "todd": 2, "all": 2}  # 2^(e + power·d)
+
+
+def _check_size(suite: str, cfg: ModelConfig) -> None:
+    """Reject an oversized config from (d, e, m) alone, before any allocation."""
+    power = _BASIS_D_POWER.get(suite)
+    if power is None:
+        return
+    wedge_bits = cfg.e + power * cfg.d
+    # 2^wedge_bits alone is tested first, so a huge e or d never becomes a huge int
+    if wedge_bits > _MAX_BASIS_DIM.bit_length() or (
+        (1 << wedge_bits) * math.comb(cfg.d + cfg.m, cfg.d) > _MAX_BASIS_DIM
+    ):
+        raise ValueError(
+            f"config d={cfg.d} e={cfg.e} m={cfg.m} is too large for suite {suite} "
+            f"(need dim {'End' if power == 2 else 'K'} <= {_MAX_BASIS_DIM})"
+        )
+
+
 def run_suite(suite: str, cfg: ModelConfig, seed: int = 0) -> Report:
     if suite == "all":
         names = list(SUITES)
@@ -877,6 +899,7 @@ def run_suite(suite: str, cfg: ModelConfig, seed: int = 0) -> Report:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r} (expected one of {', '.join(SUITES + ('all',))})")
+    _check_size(suite, cfg)
     root = SplitRng(seed)
     checks = []
     for name in names:

@@ -6,14 +6,21 @@ import pytest
 
 from koszul_perturb import (
     Contraction,
+    EndSpace,
     LinearMap,
+    ModelConfig,
     SplitRng,
     make_perturbation,
+    matrix_of,
     perturb,
+    perturbation_t,
     random_contraction,
+    random_curvature,
     transfer,
 )
+from koszul_perturb.homcomplex import end_contractions, series_bound
 from koszul_perturb.perturbation import random_perturbation, x_series
+from koszul_perturb.todd import t_commutator
 
 
 def _three_dim_cone():
@@ -118,22 +125,44 @@ def test_transfer_bound_equals_perturb():
     assert transfer(c, p.t, p.nilpotency) == perturb(c, p)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_transfer_matches_textbook_formulas(seed):
+def _textbook_inputs(case):
+    """(contraction, t, bound) triples: a random pair at its nilpotency index and
+    three above, as `perturbed_contractions` passes; the cone with a t that also
+    maps into A, so that f and d_a move (a random pair's t raises the filtration,
+    so f t = 0 there); or both End contractions with T = [t, −] for a seeded
+    curvature."""
+    if case == "cone":
+        t = LinearMap(3, 3, {0: {2: F(2)}, 1: {0: F(3)}, 2: {0: F(5)}})  # (t h)² = 0
+        return [(_three_dim_cone(), t, 2), (_three_dim_cone(), t, 5)]
+    if isinstance(case, int):
+        rng = SplitRng(case).split("textbook")
+        a_dim, cones = rng.randint(1, 4), rng.randint(2, 8)
+        c = random_contraction(rng.split("c"), a_dim, cones)
+        p = random_perturbation(rng.split("t"), c, a_dim, cones)
+        return [(c, p.t, p.nilpotency), (c, p.t, p.nilpotency + 3)]
+    cfg = ModelConfig(*case)
+    r = random_curvature(SplitRng(0).split("textbook"), cfg.d, cfg.e)
+    t_op = perturbation_t(r, cfg)
+    t_mat = matrix_of(lambda f: t_commutator(t_op, f), EndSpace(cfg), allow_truncation=True)
+    return [(c, t_mat, series_bound(cfg)) for c in end_contractions(cfg)]
+
+
+@pytest.mark.parametrize(
+    "case", [*range(6), "cone", (1, 2, 2), (2, 2, 2)],
+    ids=lambda case: "end-" + "".join(map(str, case)) if isinstance(case, tuple) else str(case),
+)
+def test_transfer_matches_textbook_formulas(case):
     # oracle: f∘(1 − x h), (1 − h x)∘g and h − h x h, composed in the textbook order
-    rng = SplitRng(seed).split("textbook")
-    a_dim, cones = rng.randint(1, 4), rng.randint(2, 8)
-    c = random_contraction(rng.split("c"), a_dim, cones)
-    p = random_perturbation(rng.split("t"), c, a_dim, cones)
-    x = x_series(c, p.t, p.nilpotency)
-    one = LinearMap.identity(c.d_b.dom)
-    out = transfer(c, p.t, p.nilpotency)
-    assert out.d_b == c.d_b.add(p.t)
-    assert out.d_a == c.d_a.add(c.f.compose(x).compose(c.g))
-    assert out.f == c.f.compose(one.sub(x.compose(c.h)))
-    assert out.g == one.sub(c.h.compose(x)).compose(c.g)
-    assert out.h == c.h.sub(c.h.compose(x).compose(c.h))
-    assert (out.f, out.g, out.h) != (c.f, c.g, c.h)  # the perturbation moves the data
+    for c, t, bound in _textbook_inputs(case):
+        x = x_series(c, t, bound)
+        one = LinearMap.identity(c.d_b.dom)
+        out = transfer(c, t, bound)
+        assert out.d_b == c.d_b.add(t)
+        assert out.d_a == c.d_a.add(c.f.compose(x).compose(c.g))
+        assert out.f == c.f.compose(one.sub(x.compose(c.h)))
+        assert out.g == one.sub(c.h.compose(x)).compose(c.g)
+        assert out.h == c.h.sub(c.h.compose(x).compose(c.h))
+        assert (out.f, out.g, out.h) != (c.f, c.g, c.h)  # the perturbation moves the data
 
 
 def test_nilpotency_index_detects_depth():
@@ -152,12 +181,12 @@ def test_nilpotency_index_detects_depth():
 
 
 def test_transfer_raises_past_its_series_bound():
-    # X has `length` nonzero terms; one step fewer trips the bound
+    # h′ has `length` nonzero terms h (t h)^k; one step fewer trips the bound
     c = random_contraction(SplitRng(3).split("c"), 2, 6)
     p = random_perturbation(SplitRng(3).split("t"), c, 2, 6)
     th = p.t.compose(c.h)
-    length = next(k for k in range(p.nilpotency + 1) if th.power(k).compose(p.t).is_zero())
+    length = next(k for k in range(p.nilpotency + 1) if c.h.compose(th.power(k)).is_zero())
     assert 1 < length <= p.nilpotency
     transfer(c, p.t, length)
-    with pytest.raises(RuntimeError, match="^X series failed to terminate$"):
+    with pytest.raises(RuntimeError, match="^h′ series failed to terminate$"):
         transfer(c, p.t, length - 1)

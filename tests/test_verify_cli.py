@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from koszul_perturb import ModelConfig, run_suite
 from koszul_perturb.cli import main
 from koszul_perturb.rng import SplitRng
-from koszul_perturb.verify import SUITES, _SUITE_BUILDERS, _run_check
+from koszul_perturb.verify import SUITES, _SUITE_BUILDERS, _check_size, _run_check
 
 TINY = ModelConfig(1, 1, 2)
 
@@ -125,6 +126,32 @@ def test_cli_verify_rejects_bad_usage(capsys):
     assert exc.value.code == 2
     assert main(["verify", "koszul", "--d", "0", "--e", "1", "--m", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, d, e, m, space",
+    [("koszul", 12, 12, 4, "K"), ("koszul", 1, 10**9, 2, "K"), ("hom", 4, 4, 4, "End"), ("all", 4, 4, 4, "End")],
+)
+def test_cli_verify_rejects_oversized_config_before_allocating(capsys, suite, d, e, m, space):
+    # dim K = 2^(e+d)·C(d+m, m) = 2^24·495 at (12,12,4); dim End = 2^d·dim K = 286,720 at (4,4,4)
+    tracemalloc.start()
+    try:
+        code = main(["verify", suite, "--d", str(d), "--e", str(e), "--m", str(m)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        f"error: config d={d} e={e} m={m} is too large for suite {suite} (need dim {space} <= 65536)\n"
+    )
+
+
+def test_size_guard_admits_every_documented_config():
+    # the largest End is 35,840 at (3,4,4); at (4,4,4) dim K = 17,920 fits but dim End does not
+    for suite, cfg in [("all", (3, 4, 4)), ("all", (2, 6, 4)), ("todd", (3, 3, 3)), ("koszul", (4, 4, 4)),
+                       ("connection", (2, 6, 4)), ("perturbation", (12, 12, 4))]:
+        _check_size(suite, ModelConfig(*cfg))
 
 
 @pytest.mark.parametrize("suite", ["todd", "connection"])
