@@ -12,7 +12,6 @@ from .algebra import (
     interior_product,
     terms_from_json,
     terms_to_json,
-    truncation_safe,
 )
 from .combinatorics import (
     Composition,
@@ -79,7 +78,6 @@ __all__ = [
     "interior_product",
     "terms_from_json",
     "terms_to_json",
-    "truncation_safe",
     "Composition",
     "bernoulli_recursion_check",
     "compositions_of_partition",

@@ -270,11 +270,6 @@ def sandwich(m: int, left, g: GradedElement, right, coeff, out: dict) -> bool:
     return truncated
 
 
-def truncation_safe(x: GradedElement) -> bool:
-    """One more symmetric-degree raise cannot silently truncate."""
-    return all(len(k[1]) < x.config.m for k in x.terms)
-
-
 def interior_product(omega: GradedElement, eta: GradedElement) -> GradedElement:
     """ω ⌟ η: contract the ∧V∨ letters of ω into the ∧V letters of η.
 

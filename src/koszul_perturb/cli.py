@@ -19,7 +19,7 @@ import sys
 from .algebra import ModelConfig, interior_product, terms_from_json, terms_to_json
 from .connection import CurvatureInput
 from .todd import q_sigma, todd_det, todd_exp
-from .verify import SUITES, run_suite
+from .verify import SUITES, _check_size, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,6 +117,7 @@ def _cmd_todd(args) -> int:
 def _cmd_q_sigma(args) -> int:
     r = _load_curvature(args.input)
     cfg = ModelConfig(r.d, r.e, args.m)
+    _check_size("q-sigma", cfg)
     with open(args.eta, encoding="utf-8") as fh:
         eta = terms_from_json(cfg, json.load(fh))
     if any(k[1] or k[2] for k in eta.terms):

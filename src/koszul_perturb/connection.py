@@ -179,7 +179,6 @@ def k1(r: CurvatureInput, cfg: ModelConfig) -> Operator:
 @dataclass
 class ConnectionComponents:
     config: ModelConfig
-    curvature: CurvatureInput
     components: list  # Operator per order, index 0 = d_K
     generator_values: list  # GradedElement | None per order (None where not Ŝ-linear)
     closure_defects: list  # GradedElement per recursion step (order ≥ 2)
@@ -237,7 +236,6 @@ def build_connection(r: CurvatureInput, cfg: ModelConfig, max_order: int) -> Con
         dk_value = dk_value.add(GradedElement.s_gen(cfg, j).mul(GradedElement.b_gen(cfg, j)))
     cc = ConnectionComponents(
         config=cfg,
-        curvature=r,
         components=[d_k],
         generator_values=[dk_value],
         closure_defects=[],

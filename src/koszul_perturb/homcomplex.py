@@ -4,8 +4,10 @@ A monomial (w, s, A, B) is the Ŝ⊗ΛW-linear operator sending x = v̄_B·(rest
 to ±(w·s·v̄_A)·(rest): the ∧V slot is a dual functional on the ∧V∨ slot of
 the operand, paired strictly (block B against block B, ⟨ē_B, v̄_B⟩ =
 (−1)^{β(β−1)/2} for ascending words — the sign that makes the diagonal sum
-Σ_C ε_C v̄_C⊗ē_C the identity). `apply_end` realizes the action,
-`tensorize` inverts it column-by-column over the 2^d wedge monomials.
+Σ_C ε_C v̄_C⊗ē_C the identity). `apply_end` is the product of the End
+algebra, and on an operand in K_Tot (empty ∧V slot) it is the action;
+`tensorize` inverts the action column-by-column over the 2^d wedge
+monomials.
 
 The differential is d_Hom = d_K⊗1 + δ·(1⊗d_Ǩ) with δ = (−1)^{q+α} read off
 each monomial; both halves reuse the koszul term kernels. Two homotopy
@@ -36,32 +38,38 @@ def series_bound(cfg: ModelConfig) -> int:
 
 # -- tensor <-> operator dictionary ----------------------------------------
 
-def apply_end(f: GradedElement, x: GradedElement) -> GradedElement:
-    """Act by the tensor f on x ∈ K_Tot."""
-    if f.config != x.config:
+def apply_end(f: GradedElement, g: GradedElement) -> GradedElement:
+    """The End product f∘g; on g ∈ K_Tot (empty ∧V slot) it is f's action.
+
+    f's term (w, s, A, B) meets the g terms with ∧V∨ slot B, grouped once per
+    call, and the product keeps g's ∧V slot, so K_Tot maps to K_Tot.
+    """
+    if f.config != g.config:
         raise ValueError("config mismatch")
-    if any(k[3] for k in x.terms):
-        raise ValueError("operand must lie in K_Tot (empty ∧V slot)")
     cfg = f.config
+    by_slot = {}
+    for key, c in g.terms.items():
+        by_slot.setdefault(key[2], []).append((key, c))
     out = {}
-    truncated = f.truncated or x.truncated
+    truncated = f.truncated or g.truncated
     for (wf, sf, A, B), cf in f.terms.items():
-        nb = B.bit_count()
+        matches = by_slot.get(B)
+        if not matches:
+            continue
         base = cf * _eps(B)
-        na_odd = A.bit_count() & 1
-        for (wx, sx, C, _b), cx in x.terms.items():
-            if C != B or wf & wx:
+        crossing_odd = (B.bit_count() + A.bit_count()) & 1
+        for (wg, sg, _c, D), cg in matches:
+            if wf & wg:
                 continue
-            if len(sf) + len(sx) > cfg.m:
+            if len(sf) + len(sg) > cfg.m:
                 truncated = True
                 continue
-            sign = 1
-            if wx.bit_count() & 1 and (nb ^ na_odd) & 1:
-                # ē_B and then the residual v̄_A both cross the operand's ΛW word
+            sign = shuffle_sign(wf, wg)
+            if crossing_odd and wg.bit_count() & 1:
+                # ē_B and then the residual v̄_A both cross g's ΛW word
                 sign = -sign
-            sign *= shuffle_sign(wf, wx)
-            key = (wf | wx, tuple(sorted(sf + sx)), A, 0)
-            out[key] = out.get(key, 0) + sign * base * cx
+            key = (wf | wg, tuple(sorted(sf + sg)), A, D)
+            out[key] = out.get(key, 0) + sign * base * cg
     return GradedElement(cfg, out, truncated)
 
 

@@ -71,14 +71,6 @@ class LinearMap:
             cols[j] = acc
         return LinearMap(other.dom, self.cod, cols)
 
-    def power(self, k: int) -> "LinearMap":
-        if self.dom != self.cod:
-            raise ValueError("power needs an endomorphism")
-        acc = LinearMap.identity(self.dom)
-        for _ in range(k):
-            acc = self.compose(acc)
-        return acc
-
     def apply(self, vec: dict) -> dict:
         out = {}
         for j, c in vec.items():

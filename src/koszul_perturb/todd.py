@@ -185,59 +185,40 @@ def perturbation_t_value(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
     return matrix_tensor(cfg, todd_matrix(powers)).sub(matrix_tensor(cfg, powers[0]))
 
 
-def perturbation_t(r: CurvatureInput, cfg: ModelConfig):
-    """The odd derivation t of K_Tot with the curvature-power values.
-
-    t is evaluated once per K_Tot monomial and extended linearly; the image
-    of x ORs the truncation flags of its monomials' images, exactly as the
-    direct derivation does.  The memo lives as long as the returned callable.
-    """
-    D = extend_derivation(perturbation_t_value(r, cfg))
-    memo = {}
-
-    def t(x: GradedElement) -> GradedElement:
-        out = {}
-        truncated = x.truncated
-        for key, c in x.terms.items():
-            image = memo.get(key)
-            if image is None:
-                image = memo[key] = D(GradedElement(cfg, {key: 1}))
-            truncated = truncated or image.truncated
-            for k, v in image.terms.items():
-                out[k] = out.get(k, 0) + c * v
-        return GradedElement(cfg, out, truncated)
-
-    return t
+def perturbation_t(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
+    """The odd derivation t of K_Tot with the curvature-power values, as its
+    End tensor: probed once on the 2^d columns v̄_C, it acts on x ∈ K_Tot as
+    apply_end(t, x) and composes with End tensors by the same product."""
+    return tensorize(extend_derivation(perturbation_t_value(r, cfg)), cfg)
 
 
-def t_commutator(t_op, f: GradedElement) -> GradedElement:
-    """[t, f] = t∘f − (−1)^{|f|} f∘t as an End tensor, probed in one pass.
+def t_commutator(t: GradedElement, f: GradedElement) -> GradedElement:
+    """[t, f] = t∘f − (−1)^{|f|} f∘t, the graded commutator of two End tensors.
 
-    Only f∘t carries the sign, so it acts through a copy of f whose even
+    Only f∘t carries the sign, so it is taken with a copy of f whose even
     terms are negated.  [t, 0] is an untruncated zero, even for a flagged 0.
     """
-    cfg = f.config
     if f.is_zero():
-        return GradedElement.zero(cfg)
+        return GradedElement.zero(f.config)
     signed = GradedElement(
-        cfg, {k: c if key_parity(k) else -c for k, c in f.terms.items()}, f.truncated
+        f.config, {k: c if key_parity(k) else -c for k, c in f.terms.items()}, f.truncated
     )
-    return tensorize(lambda x: t_op(apply_end(f, x)).add(apply_end(signed, t_op(x))), cfg)
+    return apply_end(t, f).add(apply_end(signed, t))
 
 
 # -- q_σ, element route ---------------------------------------------------------
 
-def _gv_step(t_op):
+def _gv_step(t: GradedElement):
     """x ↦ P_GV [t, x], the step of the q_σ series."""
-    return lambda x: p_gv(t_commutator(t_op, x))
+    return lambda x: p_gv(t_commutator(t, x))
 
 
-def q_sigma_step(eta: GradedElement, t_op) -> GradedElement:
+def q_sigma_step(eta: GradedElement, t: GradedElement) -> GradedElement:
     """One series step −π_T P_GV [t, i_H(η)] ∈ ΛW ⊗ ∧V."""
-    return pi_t(_gv_step(t_op)(i_h(eta))).scale(-1)
+    return pi_t(_gv_step(t)(i_h(eta))).scale(-1)
 
 
-def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) -> GradedElement:
+def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t=None) -> GradedElement:
     """q_σ(η) = π_T Σ_{k≥0} (−P_GV T)^k i_H(η), for η ∈ ΛW ⊗ ∧V.
 
     The perturbed inclusion is accumulated at the End level and projected
@@ -248,9 +229,9 @@ def q_sigma(r: CurvatureInput, cfg: ModelConfig, eta: GradedElement, t_op=None) 
     in, so the series stops after at most e steps; the hard bound only
     trips on an implementation bug.
     """
-    if t_op is None:
-        t_op = perturbation_t(r, cfg)
-    return pi_t(alternating_series(i_h(eta), _gv_step(t_op), series_bound(cfg), "q_sigma"))
+    if t is None:
+        t = perturbation_t(r, cfg)
+    return pi_t(alternating_series(i_h(eta), _gv_step(t), series_bound(cfg), "q_sigma"))
 
 
 # -- q_σ, matrix route -----------------------------------------------------------
@@ -266,10 +247,8 @@ def perturbed_contractions(r: CurvatureInput, cfg: ModelConfig) -> LinearMap:
     the model, which is precisely the flatness defect the connection module
     records.
     """
-    t_op = perturbation_t(r, cfg)
-    t_mat = matrix_of(
-        lambda f: t_commutator(t_op, f), EndSpace(cfg), allow_truncation=True
-    )
+    t = perturbation_t(r, cfg)
+    t_mat = matrix_of(lambda f: t_commutator(t, f), EndSpace(cfg), allow_truncation=True)
     base_t, base_gv = end_contractions(cfg)
     bound = series_bound(cfg)
     pert_t = transfer(base_t, t_mat, bound)

@@ -460,10 +460,10 @@ def _suite_perturbation(cfg: ModelConfig, rng: SplitRng):
         bad = []
         pairs = instances()
         for idx, (c, p) in enumerate(pairs):
-            th = p.t.compose(c.h)
-            if not th.power(p.nilpotency).is_zero():
+            k = p.t.compose(c.h).nilpotency_index(p.nilpotency)
+            if k is None:
                 bad.append(f"pair={idx}: power not zero")
-            elif p.nilpotency > 1 and th.power(p.nilpotency - 1).is_zero():
+            elif k < p.nilpotency:
                 bad.append(f"pair={idx}: index not minimal")
         return _tally(bad, len(pairs))
 
@@ -601,7 +601,7 @@ def _suite_connection(cfg: ModelConfig, rng: SplitRng):
 
 # -- todd suite -------------------------------------------------------------------
 
-def top_degree_mismatches(r: CurvatureInput, cfg: ModelConfig, td, t_op) -> tuple[int, list]:
+def top_degree_mismatches(r: CurvatureInput, cfg: ModelConfig, td, t) -> tuple[int, list]:
     """q_σ(η) = Td ⌟ η on every top-degree wedge basis η: (checked, [(key, got, want)]).
 
     A truncated side counts as a mismatch.
@@ -611,7 +611,7 @@ def top_degree_mismatches(r: CurvatureInput, cfg: ModelConfig, td, t_op) -> tupl
     bad = []
     for key in top:
         eta = ws.element(key)
-        got = q_sigma(r, cfg, eta, t_op)
+        got = q_sigma(r, cfg, eta, t)
         want = interior_product(td.value, eta)
         if got.truncated or want.truncated or got != want:
             bad.append((key, got, want))
@@ -625,7 +625,7 @@ STEP_LAWS = {
 }
 
 
-def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t_op, rules) -> tuple[int, dict]:
+def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t, rules) -> tuple[int, dict]:
     """One q_σ step against Σ_j ρ_j ⌟ η / rule(d, l, j) on every wedge basis η.
 
     The step is computed once per η for all rules.  Returns (checked,
@@ -637,7 +637,7 @@ def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t_op, rules) -> tup
     for key in ws.keys:
         eta = ws.element(key)
         l = key[3].bit_count()
-        got = q_sigma_step(eta, t_op)
+        got = q_sigma_step(eta, t)
         contractions = [(j, interior_product(rj, eta)) for j, rj in rhos]
         for name, rule in rules.items():
             want = GradedElement.zero(cfg)
@@ -691,10 +691,10 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
             bad.append("todd(0) != 1")
         if not perturbation_t_value(r, cfg).is_zero():
             bad.append("t(0) != 0")
-        t_op = perturbation_t(r, cfg)
+        t = perturbation_t(r, cfg)
         for key in ws.keys:
             eta = ws.element(key)
-            if q_sigma(r, cfg, eta, t_op) != eta:
+            if q_sigma(r, cfg, eta, t) != eta:
                 bad.append(f"q(0) moved key={key}")
                 break
         return _tally(bad, ws.dim + 2)
@@ -712,11 +712,11 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
     def perturbed_transfer():
         r = _curvatures(rng, cfg, "engine", runs)[0]
         q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)  # asserts projections fixed
-        t_op = perturbation_t(r, cfg)
+        t = perturbation_t(r, cfg)
         bad = []
         for key in ws.keys:
             eta = ws.element(key)
-            if q_sigma(r, cfg, eta, t_op) != q_mat(eta):
+            if q_sigma(r, cfg, eta, t) != q_mat(eta):
                 bad.append(f"eta={key}")
         return _tally(bad, ws.dim)
 
@@ -757,10 +757,10 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
 
     def lambda_w_linearity():
         r = _curvatures(rng, cfg, "linear", runs)[0]
-        t_op = perturbation_t(r, cfg)
+        t = perturbation_t(r, cfg)
         bad = []
         total = 0
-        base = {key: q_sigma(r, cfg, ws.element(key), t_op) for key in ws.keys}
+        base = {key: q_sigma(r, cfg, ws.element(key), t) for key in ws.keys}
         for key in ws.keys:
             for j in range(1, cfg.e + 1):
                 wl = GradedElement.w_gen(cfg, j)
@@ -768,7 +768,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
                 if weta.is_zero():
                     continue
                 total += 1
-                if q_sigma(r, cfg, weta, t_op) != wl.mul(base[key]):
+                if q_sigma(r, cfg, weta, t) != wl.mul(base[key]):
                     bad.append(f"eta={key} w={j}")
         return _tally(bad, total)
 
@@ -872,23 +872,31 @@ def _run_check(item):
 # Largest basis a suite may enumerate: dim K = 2^(e+d)·C(d+m, m) for the
 # koszul and connection suites, dim End = 2^d·dim K for those that build End
 # matrices.  The largest End any documented config uses is 35,840 at (3,4,4).
+# q-sigma never enumerates the symmetric slot, so its measure is 2^(e+2d), the
+# wedge part of dim End.
 _MAX_BASIS_DIM = 1 << 16
-_BASIS_D_POWER = {"koszul": 1, "connection": 1, "hom": 2, "todd": 2, "all": 2}  # 2^(e + power·d)
+_SIZE_MEASURES = {  # name: (power of d in the wedge bits, symmetric slot counted, label)
+    **{suite: (1, True, "dim K") for suite in ("koszul", "connection")},
+    **{suite: (2, True, "dim End") for suite in ("hom", "todd", "all")},
+    "q-sigma": (2, False, "2^(e+2d)"),
+}
 
 
-def _check_size(suite: str, cfg: ModelConfig) -> None:
+def _check_size(name: str, cfg: ModelConfig) -> None:
     """Reject an oversized config from (d, e, m) alone, before any allocation."""
-    power = _BASIS_D_POWER.get(suite)
-    if power is None:
+    measure = _SIZE_MEASURES.get(name)
+    if measure is None:
         return
+    power, symmetric, label = measure
     wedge_bits = cfg.e + power * cfg.d
     # 2^wedge_bits alone is tested first, so a huge e or d never becomes a huge int
     if wedge_bits > _MAX_BASIS_DIM.bit_length() or (
-        (1 << wedge_bits) * math.comb(cfg.d + cfg.m, cfg.d) > _MAX_BASIS_DIM
+        (1 << wedge_bits) * (math.comb(cfg.d + cfg.m, cfg.d) if symmetric else 1) > _MAX_BASIS_DIM
     ):
+        target = name if name == "q-sigma" else f"suite {name}"
         raise ValueError(
-            f"config d={cfg.d} e={cfg.e} m={cfg.m} is too large for suite {suite} "
-            f"(need dim {'End' if power == 2 else 'K'} <= {_MAX_BASIS_DIM})"
+            f"config d={cfg.d} e={cfg.e} m={cfg.m} is too large for {target} "
+            f"(need {label} <= {_MAX_BASIS_DIM})"
         )
 
 

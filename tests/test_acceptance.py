@@ -28,7 +28,7 @@ from koszul_perturb import (
     todd_exp,
 )
 from koszul_perturb.connection import square_sums
-from koszul_perturb.homcomplex import WedgeSpace, matrix_callable
+from koszul_perturb.homcomplex import WedgeSpace, apply_end, matrix_callable
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.perturbation import random_perturbation
 from koszul_perturb.todd import perturbation_t, perturbation_t_value, perturbed_contractions
@@ -214,15 +214,15 @@ def test_criterion_8_series_vs_transfer_engine(criterion_recorder):
         # clause 1: the End-level series equals the transferred-contraction composite
         ws = WedgeSpace(cfg)
         q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)
-        t_op = perturbation_t(r, cfg)
+        t = perturbation_t(r, cfg)
         for key in ws.keys:
             eta = ws.element(key)
-            if q_mat(eta) != q_sigma(r, cfg, eta, t_op):
+            if q_mat(eta) != q_sigma(r, cfg, eta, t):
                 series_failures.append((d, e, key))
         # clause 2: the perturbing derivation t versus the connection tail Σ_{k≥1} 𝕂^k
         cc = build_connection(r, cfg, max_order=min(e, 6))
         ks = KoszulSpace(cfg)
-        t_mat = matrix_of(t_op, ks, allow_truncation=True)
+        t_mat = matrix_of(lambda x: apply_end(t, x), ks, allow_truncation=True)
         tail_mat = matrix_of(cc.tail, ks, allow_truncation=True)
         if t_mat != tail_mat:
             derivation_failures.append((d, e))

@@ -14,7 +14,6 @@ from koszul_perturb import (
     interior_product,
     terms_from_json,
     terms_to_json,
-    truncation_safe,
 )
 from koszul_perturb.algebra import (
     bits,
@@ -182,8 +181,6 @@ def test_truncation_is_sticky():
     cube = v.mul(v).mul(v)
     assert cube.is_zero() and cube.truncated
     assert v.add(cube).truncated
-    assert truncation_safe(v)
-    assert not truncation_safe(v.mul(v))  # one more raise would overflow m
 
 
 def test_monomial_validation():

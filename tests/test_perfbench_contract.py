@@ -47,3 +47,16 @@ def test_tracer_round_trip_and_workload_names(monkeypatch):
         for part in name.split("."):
             assert hasattr(obj, part), name
             obj = getattr(obj, part)
+
+
+def test_qsigma_sweep_round_keeps_its_seed_0_digest(monkeypatch):
+    # one checked round of the benchmark's q_σ workload on this package, without
+    # worker._setup, which re-imports the package by clearing sys.modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+    import workloads
+
+    workload = workloads.QSigmaSweep()
+    out = worker._round(koszul_perturb, workload, workload.setup(koszul_perturb, 0), 0)
+    assert out["verdict"].problems == [] and out["verdict"].failed == []
+    assert out["digest"] == "d4eab95c6a9d4f88"

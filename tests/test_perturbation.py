@@ -142,8 +142,8 @@ def _textbook_inputs(case):
         return [(c, p.t, p.nilpotency), (c, p.t, p.nilpotency + 3)]
     cfg = ModelConfig(*case)
     r = random_curvature(SplitRng(0).split("textbook"), cfg.d, cfg.e)
-    t_op = perturbation_t(r, cfg)
-    t_mat = matrix_of(lambda f: t_commutator(t_op, f), EndSpace(cfg), allow_truncation=True)
+    t = perturbation_t(r, cfg)
+    t_mat = matrix_of(lambda f: t_commutator(t, f), EndSpace(cfg), allow_truncation=True)
     return [(c, t_mat, series_bound(cfg)) for c in end_contractions(cfg)]
 
 
@@ -185,7 +185,9 @@ def test_transfer_raises_past_its_series_bound():
     c = random_contraction(SplitRng(3).split("c"), 2, 6)
     p = random_perturbation(SplitRng(3).split("t"), c, 2, 6)
     th = p.t.compose(c.h)
-    length = next(k for k in range(p.nilpotency + 1) if c.h.compose(th.power(k)).is_zero())
+    h_th_k, length = c.h, 0  # h (t h)^length
+    while not h_th_k.is_zero():
+        h_th_k, length = h_th_k.compose(th), length + 1
     assert 1 < length <= p.nilpotency
     transfer(c, p.t, length)
     with pytest.raises(RuntimeError, match="^h′ series failed to terminate$"):

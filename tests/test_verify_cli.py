@@ -150,8 +150,30 @@ def test_cli_verify_rejects_oversized_config_before_allocating(capsys, suite, d,
 def test_size_guard_admits_every_documented_config():
     # the largest End is 35,840 at (3,4,4); at (4,4,4) dim K = 17,920 fits but dim End does not
     for suite, cfg in [("all", (3, 4, 4)), ("all", (2, 6, 4)), ("todd", (3, 3, 3)), ("koszul", (4, 4, 4)),
-                       ("connection", (2, 6, 4)), ("perturbation", (12, 12, 4))]:
+                       ("connection", (2, 6, 4)), ("perturbation", (12, 12, 4)),
+                       ("q-sigma", (2, 5, 4)), ("q-sigma", (3, 3, 4)), ("q-sigma", (3, 4, 4)),
+                       ("q-sigma", (2, 6, 4))]:
         _check_size(suite, ModelConfig(*cfg))
+
+
+def test_cli_q_sigma_rejects_oversized_config_before_allocating(tmp_path, capsys):
+    # the measure is 2^(e+2d), the wedge part of dim End: 2^25 at (12,1), 2^17 at (7,3)
+    _check_size("q-sigma", ModelConfig(7, 2, 4))
+    with pytest.raises(ValueError, match=r"^config d=7 e=3 m=4 is too large for q-sigma "):
+        _check_size("q-sigma", ModelConfig(7, 3, 4))
+    r = _r_zero(tmp_path, d=12, e=1)
+    eta = _write(tmp_path / "eta.json", [{"w": [1], "c": "1"}])
+    tracemalloc.start()
+    try:
+        code = main(["q-sigma", "--input", r, "--eta", eta])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        "error: config d=12 e=1 m=4 is too large for q-sigma (need 2^(e+2d) <= 65536)\n"
+    )
 
 
 @pytest.mark.parametrize("suite", ["todd", "connection"])
