@@ -3,8 +3,8 @@
 Everything is an exact sparse matrix over ℚ.  A contraction is the five-tuple
 (d_B, d_A, f, g, h) with f g = 1, 1 − g f = d_B h + h d_B and the side
 conditions f h = 0, h h = 0, h g = 0; a perturbation is t with (d_B + t)²
-= 0 and t h nilpotent.  Every transferred map is read off the one series
-h′ = (1 + h t)^{−1} h = h − h t h + ⋯ (M. Crainic, arXiv:math/0403266).
+= 0 and t h nilpotent.  The transferred maps are read off the two series
+h′ = (1 + h t)^{−1} h and g′ = (1 + h t)^{−1} g (M. Crainic, arXiv:math/0403266).
 """
 from __future__ import annotations
 
@@ -95,19 +95,25 @@ def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
     return alternating_series(t, t.compose(c.h).compose, bound, "X")
 
 
+def g_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:
+    """g′ = Σ_k (−1)^k (h t)^k g, stepping t then h on g's columns; h t is never formed."""
+    return alternating_series(c.g, lambda m: c.h.compose(t.compose(m)), bound, "g′")
+
+
 def transfer(c: Contraction, t: LinearMap, bound: int) -> Contraction:
     """The perturbed five-tuple, with no square-zero or output validation.
 
-    f′ = f − f t h′, g′ = g − h′ t g and d_a′ = d_a + f t g′, where h′ =
-    Σ_k (−1)^k (h t)^k h must end within `bound` steps.  No Perturbation
+    f′ = f − f t h′ and d_a′ = d_a + f t g′, where h′ = Σ_k (−1)^k (h t)^k h
+    must end within `bound` steps and g′ is `g_series`.  No Perturbation
     invariant is needed: in the Todd route (d_B + T)² need not vanish.
     """
     ht = c.h.compose(t)
     h_new = alternating_series(c.h, ht.compose, bound, "h′")
     if h_new != c.h.sub(ht.compose(h_new)):
         raise ValueError("h′ series does not solve its fixed-point equation")
+    # (h t)^k g = h (t h)^{k−1} t g, so g′ runs one term longer than h′
+    g_new = g_series(c, t, bound + 1)
     ft = c.f.compose(t)
-    g_new = c.g.sub(h_new.compose(t.compose(c.g)))
     return Contraction(c.d_b.add(t), c.d_a.add(ft.compose(g_new)),
                        c.f.sub(ft.compose(h_new)), g_new, h_new)
 

@@ -651,8 +651,8 @@ def step_law_mismatches(r: CurvatureInput, cfg: ModelConfig, t, rules) -> tuple[
 def _suite_todd(cfg: ModelConfig, rng: SplitRng):
     if cfg.d > 3:
         raise ValueError("todd suite needs d <= 3 (determinant route)")
-    if cfg.m < 1:
-        raise ValueError("todd suite needs m >= 1")
+    if cfg.m < 2:
+        raise ValueError("todd suite needs m >= 2 (curvature is quadratic)")
     if cfg.e < 1:
         raise ValueError("todd suite needs e >= 1")
     ws = WedgeSpace(cfg)
@@ -711,7 +711,7 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
 
     def perturbed_transfer():
         r = _curvatures(rng, cfg, "engine", runs)[0]
-        q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)  # asserts projections fixed
+        q_mat = matrix_callable(perturbed_contractions(r, cfg), ws)  # asserts f∘T = 0 for both projections
         t = perturbation_t(r, cfg)
         bad = []
         for key in ws.keys:

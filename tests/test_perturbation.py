@@ -125,15 +125,40 @@ def test_transfer_bound_equals_perturb():
     assert transfer(c, p.t, p.nilpotency) == perturb(c, p)
 
 
+def _random_map(rng, dom, cod):
+    """dom → cod with two random entries per column."""
+    return LinearMap(dom, cod, {j: {rng.randint(0, cod - 1): rng.fraction() for _ in range(2)}
+                                for j in range(dom)})
+
+
+def _crossing_inputs(seed):
+    """A random pair's t plus (1 − g f) p g f, which maps A into the cones, and
+    g q (1 − g f), which maps the cones into A.  The first is killed by h's
+    image (f h = 0) and the second lands in g's image, which h kills (h g = 0),
+    so t h stays nilpotent while f t ≠ 0 moves f and d_a."""
+    rng = SplitRng(seed).split("crossing")
+    a_dim, cones = rng.randint(1, 4), rng.randint(2, 8)
+    c = random_contraction(rng.split("c"), a_dim, cones)
+    b_dim = a_dim + 2 * cones
+    cone_part = LinearMap.identity(b_dim).sub(c.g.compose(c.f))
+    into_cones = cone_part.compose(_random_map(rng.split("p"), b_dim, b_dim)).compose(c.g).compose(c.f)
+    into_a = c.g.compose(_random_map(rng.split("q"), b_dim, a_dim)).compose(cone_part)
+    t = random_perturbation(rng.split("t"), c, a_dim, cones).t.add(into_cones).add(into_a)
+    bound = t.compose(c.h).nilpotency_index(b_dim + 1)
+    return [(c, t, bound), (c, t, bound + 3)]
+
+
 def _textbook_inputs(case):
     """(contraction, t, bound) triples: a random pair at its nilpotency index and
-    three above, as `perturbed_contractions` passes; the cone with a t that also
-    maps into A, so that f and d_a move (a random pair's t raises the filtration,
-    so f t = 0 there); or both End contractions with T = [t, −] for a seeded
-    curvature."""
+    three above; a random pair whose t also crosses between A and the cones, and
+    the cone with such a t, so that f and d_a move (a random pair's t raises the
+    filtration, so f t = 0 there); or both End contractions with T = [t, −] for a
+    seeded curvature."""
     if case == "cone":
         t = LinearMap(3, 3, {0: {2: F(2)}, 1: {0: F(3)}, 2: {0: F(5)}})  # (t h)² = 0
         return [(_three_dim_cone(), t, 2), (_three_dim_cone(), t, 5)]
+    if isinstance(case, str):
+        return _crossing_inputs(int(case.removeprefix("cross")))
     if isinstance(case, int):
         rng = SplitRng(case).split("textbook")
         a_dim, cones = rng.randint(1, 4), rng.randint(2, 8)
@@ -148,7 +173,7 @@ def _textbook_inputs(case):
 
 
 @pytest.mark.parametrize(
-    "case", [*range(6), "cone", (1, 2, 2), (2, 2, 2)],
+    "case", [*range(6), *(f"cross{seed}" for seed in range(4)), "cone", (1, 2, 2), (2, 2, 2)],
     ids=lambda case: "end-" + "".join(map(str, case)) if isinstance(case, tuple) else str(case),
 )
 def test_transfer_matches_textbook_formulas(case):
@@ -163,6 +188,8 @@ def test_transfer_matches_textbook_formulas(case):
         assert out.g == one.sub(c.h.compose(x)).compose(c.g)
         assert out.h == c.h.sub(c.h.compose(x).compose(c.h))
         assert (out.f, out.g, out.h) != (c.f, c.g, c.h)  # the perturbation moves the data
+        if isinstance(case, str):  # f t ≠ 0 and g′ ≠ g, so the f′ and d_a′ corrections are live
+            assert not c.f.compose(t).is_zero() and out.g != c.g
 
 
 def test_nilpotency_index_detects_depth():

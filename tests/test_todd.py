@@ -13,17 +13,19 @@ from koszul_perturb import (
     ToddClass,
     bernoulli,
     interior_product,
+    matrix_of,
     q_sigma,
     random_curvature,
     todd_det,
     todd_exp,
     todd_series_coeff,
+    transfer,
 )
 from koszul_perturb.algebra import key_parity
 from koszul_perturb.connection import _polarized_matrix, alt_power, polarized_powers, r_tilde_op
 from koszul_perturb.homcomplex import (
-    EndSpace, WedgeSpace, apply_end, extend_derivation, i_h, matrix_callable, p_gv, p_t, r_residue,
-    tensorize,
+    EndSpace, WedgeSpace, apply_end, end_contractions, extend_derivation, i_h, matrix_callable, p_gv,
+    p_t, r_residue, series_bound, tensorize,
 )
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import (
@@ -415,6 +417,23 @@ def test_single_step_fresh_law_d2_and_display_mismatch():
 
 
 # -- matrix-engine route ----------------------------------------------------------------
+
+@settings(max_examples=12)
+@given(st.sampled_from([(1, 2, 2), (1, 3, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2)]),
+       st.integers(0, 10**6))
+def test_perturbed_contractions_equals_both_full_transfers(cfg, seed):
+    # oracle: the full lemma on both End contractions; π_T∘T = π_GV∘T = 0 is the law
+    # that lets the route skip f′, h′ and d_a′
+    cfg = ModelConfig(*cfg)
+    r = random_curvature(SplitRng(seed), cfg.d, cfg.e)
+    t = perturbation_t(r, cfg)
+    t_mat = matrix_of(lambda f: t_commutator(t, f), EndSpace(cfg), allow_truncation=True)
+    base_t, base_gv = end_contractions(cfg)
+    assert base_t.f.compose(t_mat).is_zero() and base_gv.f.compose(t_mat).is_zero()
+    bound = series_bound(cfg)
+    want = transfer(base_t, t_mat, bound).f.compose(transfer(base_gv, t_mat, bound).g)
+    assert perturbed_contractions(r, cfg) == want
+
 
 def test_perturbed_contraction_route_agrees():
     cfg = ModelConfig(1, 2, 4)

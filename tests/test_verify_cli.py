@@ -78,6 +78,14 @@ def test_connection_suite_guards_truncation_order():
         run_suite("connection", ModelConfig(1, 1, 1))  # needs m >= 2
 
 
+def test_todd_suite_guards_truncation_order(capsys):
+    # todd_t_first_order builds the connection, whose curvature is quadratic
+    with pytest.raises(ValueError, match=r"^todd suite needs m >= 2 \(curvature is quadratic\)$"):
+        run_suite("todd", ModelConfig(2, 2, 1))
+    assert main(["verify", "todd", "--d", "2", "--e", "2", "--m", "1"]) == 2
+    assert capsys.readouterr().err == "error: todd suite needs m >= 2 (curvature is quadratic)\n"
+
+
 def test_todd_suite_guards_dimension():
     with pytest.raises(ValueError):
         run_suite("todd", ModelConfig(4, 1, 2))  # determinant route needs d <= 3
