@@ -7,7 +7,11 @@ R); components two and up come out of the homotopy recursion
 
     𝕂^{n+1} = P_T( −Σ_{i=1}^{n} 𝕂^i 𝕂^{n+1−i} )
 
-applied to the wedge-generator values of the bracket.  The square-zero
+applied to the wedge-generator values of the bracket.  The recursion lives in
+derivations, so P_T enters through its derivation part P_K ⊗ 1, the homotopy
+K ⊗ V carries.  P_T's other terms have two or more letters in the generator
+slot, which no derivation has; on the bracket values they were zero at every
+d <= 2 config measured and appear from d = 3 on.  The square-zero
 defect of each bracket is recorded on the result instead of raised: with
 constant coefficients R̃² need not vanish, and the coefficient claims about
 the components hold regardless — keeping the defect as data lets callers
@@ -21,8 +25,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import GradedElement, ModelConfig, sandwich
-from .homcomplex import extend_derivation, p_t
-from .koszul import d_k
+from .homcomplex import extend_derivation
+from .koszul import d_k, p_k_tensor
 from .rational import format_rational, parse_rational
 from .rng import SplitRng
 
@@ -219,10 +223,10 @@ def _bracket_values(cc: ConnectionComponents, n: int) -> tuple[GradedElement, Gr
 
 
 def next_component(cc: ConnectionComponents) -> tuple[Operator, GradedElement, GradedElement]:
-    """(𝕂^{n+1} operator, its generator value P_T(τ_D), the closure defect)."""
+    """(𝕂^{n+1} operator, its generator value (P_K ⊗ 1)(τ_D), the closure defect)."""
     n = cc.max_order
     tau, defect = _bracket_values(cc, n)
-    g = p_t(tau)
+    g = p_k_tensor(tau)
     return extend_derivation(g), g, defect
 
 

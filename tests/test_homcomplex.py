@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_perturb import (
     GradedElement as G,
@@ -16,7 +17,7 @@ from koszul_perturb import (
     matrix_of,
     tensorize,
 )
-from koszul_perturb.algebra import bits, key_parity
+from koszul_perturb.algebra import bits, key_parity, sym_words
 from koszul_perturb.homcomplex import (
     EndSpace,
     WedgeSpace,
@@ -30,7 +31,7 @@ from koszul_perturb.homcomplex import (
     r_residue,
     series_bound,
 )
-from koszul_perturb.koszul import KoszulSpace
+from koszul_perturb.koszul import KoszulSpace, p_k_tensor
 from koszul_perturb.perturbation import alternating_series
 
 C = ModelConfig(2, 1, 2)
@@ -202,3 +203,17 @@ def test_extend_derivation_leibniz():
 
 def test_d_hom_kills_identity():
     assert d_hom(identity_end(C)).is_zero()
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_p_t_restricted_to_one_letter_generator_slots_is_p_k_tensor(data):
+    # the connection recursion takes P_K ⊗ 1 for P_T: on a τ whose generator slot
+    # (the ∧V slot ē) is one letter, the one-letter part of P_T(τ) is exactly P_K ⊗ 1
+    d = data.draw(st.integers(1, 3))
+    cfg = ModelConfig(d, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+    key = st.tuples(st.integers(0, (1 << cfg.e) - 1), st.sampled_from(sym_words(d, cfg.m)),
+                    st.integers(0, (1 << d) - 1), st.sampled_from([1 << j for j in range(d)]))
+    coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    tau = G(cfg, data.draw(st.dictionaries(key, coeff, min_size=1, max_size=6)))
+    assert p_t(tau).restrict(lambda k: k[3].bit_count() == 1) == p_k_tensor(tau)

@@ -56,7 +56,10 @@ def test_check_results_do_not_depend_on_run_order(suite, cfg):
     ]
 
 
-@pytest.mark.parametrize("cfg, want", [((1, 2, 2), "86149e8b244f3108"), ((2, 3, 3), "0988946389a62352")])
+# (3,2,2) pins d = 3, where the connection recursion takes P_K ⊗ 1: red only on
+# connection_total_integrability, hom_derivation_pt_collapse and todd_pigti_step_display.
+@pytest.mark.parametrize("cfg, want", [((1, 2, 2), "86149e8b244f3108"), ((2, 3, 3), "0988946389a62352"),
+                                       ((3, 2, 2), "2fdc6fb1f1ec49e0")])
 def test_masked_report_digest_is_pinned(cfg, want):
     report = run_suite("all", ModelConfig(*cfg), seed=0)
     digest = hashlib.sha256(report.to_json(mask_timing=True).encode()).hexdigest()[:16]
@@ -153,6 +156,27 @@ def test_cli_verify_rejects_oversized_config_before_allocating(capsys, suite, d,
     assert capsys.readouterr().err == (
         f"error: config d={d} e={e} m={m} is too large for suite {suite} (need dim {space} <= 65536)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "suite, d, e, m, need",
+    [("all", 4, 1, 4, "todd suite needs d <= 3 (determinant route)"),
+     ("all", 4, 1, 1, "connection suite needs m >= 2 (curvature is quadratic)"),
+     ("all", 2, 0, 2, "connection suite needs e >= 1"),
+     ("todd", 3, 0, 1, "todd suite needs m >= 2 (curvature is quadratic)")],
+)
+def test_cli_verify_rejects_unmet_precondition_before_building(capsys, suite, d, e, m, need):
+    # (4,1,4) passes the size guard (dim End = 35,840), and building the koszul and hom
+    # suites there would take seconds and tens of MB before the todd suite could refuse d = 4
+    tracemalloc.start()
+    try:
+        code = main(["verify", suite, "--d", str(d), "--e", str(e), "--m", str(m)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == f"error: {need}\n"
 
 
 def test_size_guard_admits_every_documented_config():
