@@ -87,9 +87,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_todd(args) -> int:
     r = _load_curvature(args.input)
-    if r.d > 3:
-        raise ValueError(f"unsupported d={r.d} (need d <= 3)")
     cfg = ModelConfig(r.d, r.e, args.m)
+    _check_size("todd", cfg)
     code = 0
     if args.route == "exp":
         payload = {"route": "exp", "todd": _todd_dict(todd_exp(r, cfg))}
@@ -122,7 +121,7 @@ def _cmd_q_sigma(args) -> int:
         eta = terms_from_json(cfg, json.load(fh))
     if any(k[1] or k[2] for k in eta.terms):
         raise ValueError("eta must lie in ΛW ⊗ ∧V (no symmetric or ∧V∨ letters)")
-    td = todd_det(r, cfg) if cfg.d <= 3 else todd_exp(r, cfg)
+    td = todd_exp(r, cfg)
     q_eta = q_sigma(r, cfg, eta)
     td_eta = interior_product(td.value, eta)
     asserted = all(k[3].bit_count() == cfg.d for k in eta.terms)
@@ -131,7 +130,6 @@ def _cmd_q_sigma(args) -> int:
         "d": cfg.d,
         "e": cfg.e,
         "m": cfg.m,
-        "todd_route": "det" if cfg.d <= 3 else "exp",
         "eta": terms_to_json(eta),
         "q_of_eta": terms_to_json(q_eta),
         "todd_contract_eta": terms_to_json(td_eta),

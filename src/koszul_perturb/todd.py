@@ -3,11 +3,12 @@ endomorphism q_σ it induces on ΛW ⊗ ∧V.
 
 The class is computed by two independent routes that must agree: the
 exponential of Σ_n ρ_n/n, where ρ_n is the trace of the n-th power M^n of
-the polarized curvature matrix, and the Leibniz determinant of the Todd
-matrix Σ_n t_n·M^n over the commutative even subalgebra, with t_n the
-power-series coefficients of x/(1 − e^{−x}).  Both read one pass of powers
-M^0…M^n; the Todd matrix minus the identity gives the generator values of
-the perturbing derivation t.  q_σ also comes in two routes:
+the polarized curvature matrix, and the determinant of the Todd matrix
+Σ_n t_n·M^n over the commutative even subalgebra, with t_n the power-series
+coefficients of x/(1 − e^{−x}), by Laplace expansion with each minor kept
+once by its column bitmask (no division, every d).  Both read one pass of
+powers M^0…M^n; the Todd matrix minus the identity gives the generator values
+of the perturbing derivation t.  q_σ also comes in two routes:
 an element-level series accumulating the perturbed inclusion (−P_GV T)^k i_H
 under π_T, and a matrix-level one, π_T ∘ g′_GV with g′_GV the GV
 contraction's inclusion perturbed by T = [t, −].  The headline identity
@@ -32,9 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
-from .algebra import GradedElement, ModelConfig, key_parity, terms_to_json
+from .algebra import GradedElement, ModelConfig, bits, key_parity, terms_to_json
 from .connection import CurvatureInput, matrix_tensor, polarized_powers
 from .homcomplex import (
     EndSpace,
@@ -158,22 +158,19 @@ def todd_exp(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
 
 
 def todd_det(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:
-    """Leibniz determinant of the Todd matrix 1 + Σ_n t_n·(polarized R)^n over ΛW ⊗ ∧V∨."""
-    if cfg.d > 3:
-        raise ValueError("Leibniz-determinant route supports d ≤ 3")
+    """Determinant of the Todd matrix 1 + Σ_n t_n·(polarized R)^n over ΛW ⊗ ∧V∨, by
+    Laplace expansion along the last row with each minor kept once, indexed by its
+    column bitmask: O(d·2^d) products and no division, as the even subalgebra needs."""
     entries = todd_matrix(polarized_powers(r, cfg))
-    det = GradedElement.zero(cfg)
-    for perm in permutations(range(cfg.d)):
-        inversions = sum(
-            1 for x in range(cfg.d) for y in range(x + 1, cfg.d) if perm[x] > perm[y]
-        )
-        prod = GradedElement.unit(cfg).scale(Fraction((-1) ** inversions))
-        for i in range(cfg.d):
-            prod = prod.mul(entries[i][perm[i]])
-            if prod.is_zero():
-                break
-        det = det.add(prod)
-    return ToddClass(cfg, det)
+    minors = [GradedElement.unit(cfg)]  # minors[S]: the first |S| rows on the columns in S
+    for cols in range(1, 1 << cfg.d):
+        row = entries[cols.bit_count() - 1]
+        minor = GradedElement.zero(cfg)
+        for j in bits(cols):  # (−1)^(columns of S after j) is the cofactor sign
+            term = row[j - 1].mul(minors[cols ^ (1 << (j - 1))])
+            minor = minor.sub(term) if (cols >> j).bit_count() & 1 else minor.add(term)
+        minors.append(minor)
+    return ToddClass(cfg, minors[-1])
 
 
 # -- the perturbing derivation t and T = [t, −] --------------------------------

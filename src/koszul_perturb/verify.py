@@ -637,9 +637,9 @@ def _suite_todd(cfg: ModelConfig, rng: SplitRng):
         yield None if todd_exp(r, cfg).value == GradedElement.unit(cfg) else "todd(0) != 1"
         yield None if perturbation_t_value(r, cfg).is_zero() else "t(0) != 0"
         t = perturbation_t(r, cfg)
-        moved = next((key for key in ws.keys if q_sigma(r, cfg, ws.element(key), t) != ws.element(key)), None)
-        yield None if moved is None else f"q(0) moved key={moved}"
-        yield from [None] * (ws.dim - 1)  # the scan stops at the first moved η but counts every η
+        for key in ws.keys:
+            eta = ws.element(key)
+            yield None if q_sigma(r, cfg, eta, t) == eta else f"q(0) moved key={key}"
 
     @_law
     def top_degree_identity():
@@ -784,19 +784,20 @@ def _run_check(item):
 # Largest basis a suite may enumerate: dim K = 2^(e+d)·C(d+m, m) for the
 # koszul and connection suites, dim End = 2^d·dim K for those that build End
 # matrices.  The largest End any documented config uses is 35,840 at (3,4,4).
-# q-sigma never enumerates the symmetric slot, so its measure is 2^(e+2d), the
-# wedge part of dim End.
+# The q-sigma and todd commands never enumerate the symmetric slot, so their
+# measure is 2^(e+2d), the wedge part of dim End; it also bounds Td's 2^d minors.
 _MAX_BASIS_DIM = 1 << 16
-_SIZE_MEASURES = {  # name: (power of d in the wedge bits, symmetric slot counted, label)
-    **{suite: (1, True, "dim K") for suite in ("koszul", "connection")},
-    **{suite: (2, True, "dim End") for suite in ("hom", "todd", "all")},
-    "q-sigma": (2, False, "2^(e+2d)"),
+_SIZE_MEASURES = {  # target: (power of d in the wedge bits, symmetric slot counted, label)
+    **{f"suite {suite}": (1, True, "dim K") for suite in ("koszul", "connection")},
+    **{f"suite {suite}": (2, True, "dim End") for suite in ("hom", "todd", "all")},
+    **{command: (2, False, "2^(e+2d)") for command in ("q-sigma", "todd")},
 }
 
 
-def _check_size(name: str, cfg: ModelConfig) -> None:
-    """Reject an oversized config from (d, e, m) alone, before any allocation."""
-    measure = _SIZE_MEASURES.get(name)
+def _check_size(target: str, cfg: ModelConfig) -> None:
+    """Reject an oversized config from (d, e, m) alone, before any allocation.
+    The target is a CLI command or "suite <name>"; one without a measure has no cap."""
+    measure = _SIZE_MEASURES.get(target)
     if measure is None:
         return
     power, symmetric, label = measure
@@ -805,7 +806,6 @@ def _check_size(name: str, cfg: ModelConfig) -> None:
     if wedge_bits > _MAX_BASIS_DIM.bit_length() or (
         (1 << wedge_bits) * (math.comb(cfg.d + cfg.m, cfg.d) if symmetric else 1) > _MAX_BASIS_DIM
     ):
-        target = name if name == "q-sigma" else f"suite {name}"
         raise ValueError(
             f"config d={cfg.d} e={cfg.e} m={cfg.m} is too large for {target} "
             f"(need {label} <= {_MAX_BASIS_DIM})"
@@ -819,7 +819,6 @@ _PRECONDITIONS = {
         (lambda cfg: cfg.e >= 1, "e >= 1"),
     ),
     "todd": (
-        (lambda cfg: cfg.d <= 3, "d <= 3 (determinant route)"),
         (lambda cfg: cfg.m >= 2, "m >= 2 (curvature is quadratic)"),
         (lambda cfg: cfg.e >= 1, "e >= 1"),
     ),
@@ -833,7 +832,7 @@ def run_suite(suite: str, cfg: ModelConfig, seed: int = 0) -> Report:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r} (expected one of {', '.join(SUITES + ('all',))})")
-    _check_size(suite, cfg)
+    _check_size(f"suite {suite}", cfg)
     for name in names:  # every suite's preconditions, before any suite is built
         for holds, need in _PRECONDITIONS.get(name, ()):
             if not holds(cfg):

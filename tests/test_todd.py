@@ -207,7 +207,7 @@ def test_todd_zero_curvature_is_unit():
 
 
 @pytest.mark.parametrize(
-    "d,e", [(1, 4), (2, 3), (3, 3)], ids=["d1", "d2", "d3"]
+    "d,e", [(1, 4), (2, 3), (3, 3), (4, 2), (5, 2)], ids=["d1", "d2", "d3", "d4", "d5"]
 )
 def test_todd_routes_agree(d, e):
     cfg = ModelConfig(d, e, 4)
@@ -215,11 +215,6 @@ def test_todd_routes_agree(d, e):
     for trial in range(4):
         r = random_curvature(rng.split((d, trial)), d, e)
         assert todd_exp(r, cfg).value == todd_det(r, cfg).value, trial
-
-
-def test_todd_det_guards_dimension():
-    with pytest.raises(ValueError):
-        todd_det(CurvatureInput.zero(4, 2), ModelConfig(4, 2, 2))
 
 
 def test_todd_class_validation():
@@ -364,6 +359,16 @@ def test_q_sigma_is_todd_contraction_d2():
     r = random_curvature(SplitRng(79).split("m"), 2, 3)
     _checked, misses = top_degree_mismatches(r, cfg, todd_det(r, cfg), perturbation_t(r, cfg))
     assert not misses, misses[0][0]
+
+
+@pytest.mark.parametrize("d,e", [(4, 2), (4, 3), (5, 2)])
+def test_q_sigma_is_todd_contraction_past_d3(d, e):
+    # the Laplace determinant has no d limit, and the headline identity holds past d = 3
+    cfg = ModelConfig(d, e, 2)
+    for trial in range(2):
+        r = random_curvature(SplitRng(83).split((d, e, trial)), d, e)
+        _checked, misses = top_degree_mismatches(r, cfg, todd_det(r, cfg), perturbation_t(r, cfg))
+        assert not misses, (trial, misses[0][0])
 
 
 def test_q_sigma_matches_todd_below_top_degree_too():

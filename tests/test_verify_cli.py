@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from koszul_perturb import ModelConfig, run_suite
+from koszul_perturb import ModelConfig, run_suite, verify
 from koszul_perturb.cli import main
 from koszul_perturb.rng import SplitRng
 from koszul_perturb.verify import SUITES, _SUITE_BUILDERS, _check_size, _run_check
@@ -81,17 +81,21 @@ def test_connection_suite_guards_truncation_order():
         run_suite("connection", ModelConfig(1, 1, 1))  # needs m >= 2
 
 
+def test_todd_zero_curvature_counts_every_moved_eta(monkeypatch):
+    # a q_σ that doubles every η moves all 16 basis vectors at (2,2,2), not only the first
+    q_sigma = verify.q_sigma
+    monkeypatch.setattr(verify, "q_sigma", lambda *args: q_sigma(*args).scale(2))
+    checks = dict(_SUITE_BUILDERS["todd"](ModelConfig(2, 2, 2), SplitRng(0).split("todd")))
+    result = _run_check(("todd_zero_curvature", checks["todd_zero_curvature"]))
+    assert (result.status, result.lhs) == ("fail", "failures=16/18; first: q(0) moved key=(0, (), 0, 0)")
+
+
 def test_todd_suite_guards_truncation_order(capsys):
     # todd_t_first_order builds the connection, whose curvature is quadratic
     with pytest.raises(ValueError, match=r"^todd suite needs m >= 2 \(curvature is quadratic\)$"):
         run_suite("todd", ModelConfig(2, 2, 1))
     assert main(["verify", "todd", "--d", "2", "--e", "2", "--m", "1"]) == 2
     assert capsys.readouterr().err == "error: todd suite needs m >= 2 (curvature is quadratic)\n"
-
-
-def test_todd_suite_guards_dimension():
-    with pytest.raises(ValueError):
-        run_suite("todd", ModelConfig(4, 1, 2))  # determinant route needs d <= 3
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -160,14 +164,14 @@ def test_cli_verify_rejects_oversized_config_before_allocating(capsys, suite, d,
 
 @pytest.mark.parametrize(
     "suite, d, e, m, need",
-    [("all", 4, 1, 4, "todd suite needs d <= 3 (determinant route)"),
+    [("all", 4, 0, 4, "connection suite needs e >= 1"),
      ("all", 4, 1, 1, "connection suite needs m >= 2 (curvature is quadratic)"),
      ("all", 2, 0, 2, "connection suite needs e >= 1"),
      ("todd", 3, 0, 1, "todd suite needs m >= 2 (curvature is quadratic)")],
 )
 def test_cli_verify_rejects_unmet_precondition_before_building(capsys, suite, d, e, m, need):
-    # (4,1,4) passes the size guard (dim End = 35,840), and building the koszul and hom
-    # suites there would take seconds and tens of MB before the todd suite could refuse d = 4
+    # (4,0,4) passes the size guard (dim End = 17,920), and building the koszul and hom
+    # suites there would take seconds and tens of MB before the connection suite could refuse e = 0
     tracemalloc.start()
     try:
         code = main(["verify", suite, "--d", str(d), "--e", str(e), "--m", str(m)])
@@ -181,11 +185,11 @@ def test_cli_verify_rejects_unmet_precondition_before_building(capsys, suite, d,
 
 def test_size_guard_admits_every_documented_config():
     # the largest End is 35,840 at (3,4,4); at (4,4,4) dim K = 17,920 fits but dim End does not
-    for suite, cfg in [("all", (3, 4, 4)), ("all", (2, 6, 4)), ("todd", (3, 3, 3)), ("koszul", (4, 4, 4)),
-                       ("connection", (2, 6, 4)), ("perturbation", (12, 12, 4)),
-                       ("q-sigma", (2, 5, 4)), ("q-sigma", (3, 3, 4)), ("q-sigma", (3, 4, 4)),
-                       ("q-sigma", (2, 6, 4))]:
-        _check_size(suite, ModelConfig(*cfg))
+    for target, cfg in [("suite all", (3, 4, 4)), ("suite all", (2, 6, 4)), ("suite todd", (3, 3, 3)),
+                        ("suite todd", (5, 1, 2)), ("suite koszul", (4, 4, 4)), ("suite connection", (2, 6, 4)),
+                        ("suite perturbation", (12, 12, 4)), ("q-sigma", (2, 5, 4)), ("q-sigma", (3, 3, 4)),
+                        ("q-sigma", (3, 4, 4)), ("q-sigma", (2, 6, 4)), ("todd", (5, 6, 4))]:
+        _check_size(target, ModelConfig(*cfg))
 
 
 def test_cli_q_sigma_rejects_oversized_config_before_allocating(tmp_path, capsys):
@@ -257,9 +261,25 @@ def test_cli_todd_text_mode(tmp_path, capsys):
 
 
 def test_cli_todd_rejects_large_dimension(tmp_path, capsys):
-    path = _write(tmp_path / "r4.json", {"d": 4, "e": 2, "entries": []})
-    assert main(["todd", "--input", path, "--m", "2"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # the cap is q-sigma's 2^(e+2d), from (d, e) alone: 2^17 at (8,1), over Td's 2^8 minors
+    path = _write(tmp_path / "r8.json", {"d": 8, "e": 1, "entries": []})
+    tracemalloc.start()
+    try:
+        code = main(["todd", "--input", path, "--m", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        "error: config d=8 e=1 m=2 is too large for todd (need 2^(e+2d) <= 65536)\n"
+    )
+    # d = 4 is in range, and both routes agree on a dense curvature
+    entries = [{"w": w, "i": i, "j": j, "k": k, "c": f"{(-1) ** (i + k) * (w + j)}/{k}"}
+               for w in (1, 2) for i in range(1, 5) for j in range(i, 5) for k in range(1, 5)]
+    path = _write(tmp_path / "r4.json", {"d": 4, "e": 2, "entries": entries})
+    assert main(["todd", "--input", path, "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["routes_agree"] is True
 
 
 def test_cli_todd_rejects_malformed_json(tmp_path, capsys):
@@ -277,7 +297,7 @@ def test_cli_q_sigma_top_degree(tmp_path, capsys):
     assert code == 0
     assert payload["asserted"] is True
     assert payload["equal"] is True
-    assert payload["todd_route"] == "det"
+    assert "todd_route" not in payload
 
 
 def test_cli_q_sigma_below_top_degree_not_asserted(tmp_path, capsys):
