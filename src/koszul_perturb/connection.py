@@ -7,15 +7,18 @@ R); components two and up come out of the homotopy recursion
 
     𝕂^{n+1} = P_T( −Σ_{i=1}^{n} 𝕂^i 𝕂^{n+1−i} )
 
-applied to the wedge-generator values of the bracket.  The recursion lives in
-derivations, so P_T enters through its derivation part P_K ⊗ 1, the homotopy
-K ⊗ V carries.  P_T's other terms have two or more letters in the generator
-slot, which no derivation has; on the bracket values they were zero at every
-d <= 2 config measured and appear from d = 3 on.  The square-zero
-defect of each bracket is recorded on the result instead of raised: with
-constant coefficients R̃² need not vanish, and the coefficient claims about
-the components hold regardless — keeping the defect as data lets callers
-inspect exactly which degrees fail while everything downstream still runs.
+applied to the wedge-generator values of the bracket.  R̄ and every component
+from two on is a wedge derivation: its values g = Σ_j g_j ⊗ ē_j become the
+End tensor Σ_j g_j·ι_{e_j}, which acts through apply_end (extend_derivation).
+The recursion lives in derivations, so P_T enters through its derivation
+part P_K ⊗ 1, the homotopy K ⊗ V carries.  P_T's other terms have two or
+more letters in the generator slot, which no derivation has; on the bracket
+values they were zero at every d <= 2 config measured and appear from d = 3
+on.  The square-zero defect of each bracket is recorded on the result instead
+of raised: with constant coefficients R̃² need not vanish, and the coefficient
+claims about the components hold regardless — keeping the defect as data lets
+callers inspect exactly which degrees fail while everything downstream still
+runs.
 """
 from __future__ import annotations
 

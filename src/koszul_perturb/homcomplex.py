@@ -7,7 +7,9 @@ the operand, paired strictly (block B against block B, ⟨ē_B, v̄_B⟩ =
 Σ_C ε_C v̄_C⊗ē_C the identity). `apply_end` is the product of the End
 algebra, and on an operand in K_Tot (empty ∧V slot) it is the action;
 `tensorize` inverts the action column-by-column over the 2^d wedge
-monomials.
+monomials.  Operators are only ever End tensors: the inclusion i_H and
+every Ŝ-linear wedge derivation Σ_j g_j·ι_{e_j} are written down directly
+as products w·s·v̄_A ∘ ι_{e_U}, with no operator to probe.
 
 The differential is d_Hom = d_K⊗1 + δ·(1⊗d_Ǩ) with δ = (−1)^{q+α} read off
 each monomial; both halves reuse the koszul term kernels. Two homotopy
@@ -18,9 +20,9 @@ because each double step moves the ∧V degree strictly monotonically; the
 hard iteration bound (m+1)(d+1)(e+1) only trips on an implementation bug.
 """
 
-from .algebra import (
-    Basis, GradedElement, ModelConfig, _eps, bits, contraction_sign, sandwich, shuffle_sign, sym_words
-)
+import functools
+
+from .algebra import Basis, GradedElement, ModelConfig, _eps, contraction_sign, shuffle_sign, sym_words
 from .koszul import _apply, _dk_check_terms, _pk_check_terms, d_k_tensor, p_k_tensor
 from .perturbation import Contraction, alternating_series
 from .sparse import LinearMap, matrix_of
@@ -42,7 +44,9 @@ def apply_end(f: GradedElement, g: GradedElement) -> GradedElement:
     """The End product f∘g; on g ∈ K_Tot (empty ∧V slot) it is f's action.
 
     f's term (w, s, A, B) meets the g terms with ∧V∨ slot B, grouped once per
-    call, and the product keeps g's ∧V slot, so K_Tot maps to K_Tot.
+    call, and the product keeps g's ∧V slot, so K_Tot maps to K_Tot.  cf·ε_B
+    is formed once per f term and each pair's sign picks add or subtract, so
+    a matching pair costs one product.
     """
     if f.config != g.config:
         raise ValueError("config mismatch")
@@ -64,12 +68,14 @@ def apply_end(f: GradedElement, g: GradedElement) -> GradedElement:
             if len(sf) + len(sg) > cfg.m:
                 truncated = True
                 continue
-            sign = shuffle_sign(wf, wg)
+            negative = shuffle_sign(wf, wg) < 0
             if crossing_odd and wg.bit_count() & 1:
                 # ē_B and then the residual v̄_A both cross g's ΛW word
-                sign = -sign
+                negative = not negative
             key = (wf | wg, tuple(sorted(sf + sg)), A, D)
-            out[key] = out.get(key, 0) + sign * base * cg
+            c = base * cg
+            acc = out.get(key, 0)
+            out[key] = acc - c if negative else acc + c
     return GradedElement(cfg, out, truncated)
 
 
@@ -158,22 +164,29 @@ def pi_gv(f: GradedElement) -> GradedElement:
     return GradedElement(cfg, out, f.truncated)
 
 
-def i_h(omega: GradedElement) -> GradedElement:
-    """Algebra map ΛW⊗∧V → End: ω ↦ L_ω ∘ (ι_{e_{u₁}}∘…∘ι_{e_{u_k}}), u ascending.
+def _times_iota(x: GradedElement) -> GradedElement:
+    """Σ c·(w, s, A, U) ↦ Σ c·w·s·v̄_A ∘ ι_{e_{u₁}}∘…∘ι_{e_{u_k}} in End, u ascending.
 
-    On the v̄_C columns this is w·ē_U ↦ Σ_{C ⊇ U} ε_C·contraction_sign(U, C)·
-    w·v̄_{C∖U} ⊗ ē_C, written down directly; ω's truncation flag is kept.
+    On the v̄_C columns with C ⊇ U and A disjoint from C∖U this is the key
+    (w, s, A ∪ C∖U, C) with sign ε_C·contraction_sign(U, C)·shuffle_sign(A, C∖U),
+    written down directly; x's truncation flag is kept.
     """
-    cfg = omega.config
+    cfg = x.config
+    out = {}
+    for (w, s, a, u), c in x.terms.items():
+        for C in range(1 << cfg.d):
+            rest = C & ~u
+            if C & u == u and not a & rest:
+                key = (w, s, a | rest, C)
+                out[key] = out.get(key, 0) + _eps(C) * contraction_sign(u, C) * shuffle_sign(a, rest) * c
+    return GradedElement(cfg, out, x.truncated)
+
+
+def i_h(omega: GradedElement) -> GradedElement:
+    """Algebra map ΛW⊗∧V → End: ω ↦ L_ω ∘ (ι_{e_{u₁}}∘…∘ι_{e_{u_k}}), u ascending."""
     if any(k[1] or k[2] for k in omega.terms):
         raise ValueError("argument must lie in ΛW ⊗ ∧V")
-    out = {}
-    for (w, _s, _a, u), c in omega.terms.items():
-        for C in range(1 << cfg.d):
-            if C & u == u:
-                key = (w, (), C & ~u, C)
-                out[key] = out.get(key, 0) + _eps(C) * contraction_sign(u, C) * c
-    return GradedElement(cfg, out, omega.truncated)
+    return _times_iota(omega)
 
 
 def r_residue(f: GradedElement) -> GradedElement:
@@ -209,44 +222,21 @@ def end_contractions(cfg: ModelConfig) -> tuple[Contraction, Contraction]:
 
 # -- derivations -------------------------------------------------------------
 
-def extend_derivation(g: GradedElement):
-    """Ŝ-linear derivation of K_Tot from its ∧¹V∨-generator values.
+def derivation_tensor(g: GradedElement) -> GradedElement:
+    """End tensor Σ_j g_j·ι_{e_j} of the Ŝ-linear derivation of K_Tot with
+    generator values g = Σ_j g_j ⊗ ē_j in ΛW ⊗ Ŝ ⊗ ∧V∨ ⊗ V.
 
-    g lives in ΛW ⊗ Ŝ ⊗ ∧V∨ ⊗ V: a term (w, s, A, {j}) contributes
-    w·s·v̄_A to D(v̄_j). Symmetric generators go to zero. Returns the
-    operator as a callable on K_Tot elements.
+    A term (w, s, A, {j}) contributes w·s·v̄_A to D(v̄_j), and D is zero on Ŝ
+    and ΛW.  Each term carries its own parity, so g need not be homogeneous.
     """
-    cfg = g.config
-    values = {}
-    parities = set()
-    for (w, s, a, b), c in g.terms.items():
-        if b.bit_count() != 1:
-            raise ValueError("generator slot must be a single ∧V letter")
-        j = b.bit_length()
-        tgt = values.setdefault(j, {})
-        tgt[(w, s, a, 0)] = tgt.get((w, s, a, 0), 0) + c
-        parities.add((w.bit_count() + a.bit_count() + 1) & 1)
-    if len(parities) > 1:
-        raise ValueError("mixed-parity derivation values")
-    p = parities.pop() if parities else 0
-    vals = {j: GradedElement(cfg, t) for j, t in values.items()}
+    if any(k[3].bit_count() != 1 for k in g.terms):
+        raise ValueError("generator slot must be a single ∧V letter")
+    return _times_iota(g)
 
-    def D(x: GradedElement) -> GradedElement:
-        out = {}
-        truncated = x.truncated
-        for (wx, sx, C, bx), cx in x.terms.items():
-            if bx:
-                raise ValueError("operand must lie in K_Tot")
-            base = -cx if (p and wx.bit_count() & 1) else cx
-            for t, j in enumerate(bits(C)):
-                gj = vals.get(j)
-                if gj is not None:  # v̄_C = (letters below j)·v̄_j·(letters above j)
-                    coeff = -base if (p and t & 1) else base
-                    left, right = (wx, sx, C & ((1 << (j - 1)) - 1), 0), (0, (), C >> j << j, 0)
-                    truncated = sandwich(cfg.m, left, gj, right, coeff, out) or truncated
-        return GradedElement(cfg, out, truncated)
 
-    return D
+def extend_derivation(g: GradedElement):
+    """The derivation with generator values g, acting through apply_end."""
+    return functools.partial(apply_end, derivation_tensor(g))
 
 
 # -- bases ---------------------------------------------------------------

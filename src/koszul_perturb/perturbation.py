@@ -74,20 +74,21 @@ def alternating_series(term, step, bound: int, name: str):
     """Σ_k (−1)^k step^k(term), summed up to the first zero term.
 
     Works on `GradedElement` and `LinearMap` alike: the sum starts from
-    term.scale(0), which keeps a truncation flag.  A series still running
-    after `bound` steps is an implementation bug.
+    term.scale(0), and a zero term that stopped it with a truncation flag
+    passes the flag on.  A series still running after `bound` steps is an
+    implementation bug.
     """
     acc = term.scale(0)
     sign = 1
     for _ in range(bound):
         if term.is_zero():
-            return acc
+            break
         acc = acc.add(term.scale(sign))
         term = step(term)
         sign = -sign
-    if term.is_zero():
-        return acc
-    raise RuntimeError(f"{name} series failed to terminate")
+    if not term.is_zero():
+        raise RuntimeError(f"{name} series failed to terminate")
+    return acc.add(term) if getattr(term, "truncated", False) else acc
 
 
 def x_series(c: Contraction, t: LinearMap, bound: int) -> LinearMap:

@@ -39,13 +39,12 @@ from .connection import CurvatureInput, matrix_tensor, polarized_powers
 from .homcomplex import (
     EndSpace,
     apply_end,
+    derivation_tensor,
     end_contractions,
-    extend_derivation,
     i_h,
     p_gv,
     pi_t,
     series_bound,
-    tensorize,
 )
 from .perturbation import alternating_series, g_series
 from .sparse import LinearMap, matrix_of
@@ -184,9 +183,9 @@ def perturbation_t_value(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
 
 def perturbation_t(r: CurvatureInput, cfg: ModelConfig) -> GradedElement:
     """The odd derivation t of K_Tot with the curvature-power values, as its
-    End tensor: probed once on the 2^d columns v̄_C, it acts on x ∈ K_Tot as
-    apply_end(t, x) and composes with End tensors by the same product."""
-    return tensorize(extend_derivation(perturbation_t_value(r, cfg)), cfg)
+    End tensor Σ_j t_j·ι_{e_j}: it acts on x ∈ K_Tot as apply_end(t, x) and
+    composes with End tensors by the same product."""
+    return derivation_tensor(perturbation_t_value(r, cfg))
 
 
 def t_commutator(t: GradedElement, f: GradedElement) -> GradedElement:

@@ -818,6 +818,9 @@ _PRECONDITIONS = {
         (lambda cfg: cfg.m >= 2, "m >= 2 (curvature is quadratic)"),
         (lambda cfg: cfg.e >= 1, "e >= 1"),
     ),
+    "hom": (
+        (lambda cfg: cfg.m >= 1, "m >= 1 (no End column is truncation-safe at m = 0)"),
+    ),
     "todd": (
         (lambda cfg: cfg.m >= 2, "m >= 2 (curvature is quadratic)"),
         (lambda cfg: cfg.e >= 1, "e >= 1"),

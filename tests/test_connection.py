@@ -15,7 +15,7 @@ from koszul_perturb import (
     first_order_part,
     random_curvature,
 )
-from koszul_perturb.algebra import bits, key_parity, mask_of
+from koszul_perturb.algebra import bits, key_parity, mask_of, sym_words
 from koszul_perturb.connection import (
     extend_sym_derivation,
     k1,
@@ -25,7 +25,7 @@ from koszul_perturb.connection import (
     sym_generator_values,
     wedge_generator_value,
 )
-from koszul_perturb.homcomplex import extend_derivation
+from koszul_perturb.homcomplex import derivation_tensor, extend_derivation, tensorize
 from koszul_perturb.koszul import KoszulSpace
 from koszul_perturb.todd import perturbation_t_value
 
@@ -226,11 +226,37 @@ def test_derivations_match_their_product_construction(data):
     ]
     values = sym_generator_values(r, cfg)
     r_tilde = extend_sym_derivation(values, cfg)
+    t = derivation_tensor(perturbation_t_value(r, cfg))
+    assert not t.truncated and all(len(k[1]) == 1 for k in t.terms)  # t raises degree by one
     for g in (perturbation_t_value(r, cfg), wedge_generator_value(r, cfg)):
-        D = extend_derivation(g)
+        tensor, D = derivation_tensor(g), extend_derivation(g)
         for x in xs:
             got, want = D(x), _product_derivation(g, x)
-            assert got == want and got.truncated == want.truncated
+            assert got == want
+            # flagged exactly where x is, or where a monomial of x meets a term of its
+            # column with disjoint ΛW letters and the product passes degree m; the
+            # product chain checks its left product first, so it flags at least as often
+            overflow = any(
+                k[3] == a and not k[0] & w and len(s) + len(k[1]) > cfg.m
+                for w, s, a, _b in x.terms for k in tensor.terms
+            )
+            assert got.truncated == (x.truncated or overflow)
+            assert want.truncated or not got.truncated
     for x in xs:
         got, want = r_tilde(x), _product_sym_derivation(values, x)
         assert got == want and got.truncated == want.truncated
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_derivation_tensor_is_the_tensorized_product_construction(data):
+    d, e, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cfg = ModelConfig(d, e, m)
+    key = st.tuples(st.integers(0, (1 << e) - 1), st.sampled_from(sym_words(d, m)),
+                    st.integers(0, (1 << d) - 1), st.sampled_from([1 << j for j in range(d)]))
+    g = G(cfg, data.draw(st.dictionaries(key, _COEFFS, max_size=8)))
+    parts = [g.restrict(lambda k, p=p: key_parity(k) == p) for p in (0, 1)]
+    for part in parts:  # homogeneous values: one derivation of that parity
+        assert derivation_tensor(part) == tensorize(lambda x, part=part: _product_derivation(part, x), cfg)
+    # mixed parity: the sum of the derivations of its two parity parts
+    assert derivation_tensor(g) == derivation_tensor(parts[0]).add(derivation_tensor(parts[1]))

@@ -1,5 +1,6 @@
 """End-tensor calculus: apply/tensorize, contraction embedding, residue, derivations."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -67,6 +68,30 @@ def test_identity_end_acts_as_identity():
 def test_tensorize_inverts_apply():
     for _key, f in basis(EndSpace(C)):
         assert tensorize(lambda x, f=f: apply_end(f, x), C) == f
+
+
+_NONZERO = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_apply_end_is_associative_and_tensorize_inverts_it(data):
+    # factors with at most one symmetric letter: at m = 3 no triple product is clipped
+    d, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    cfg = ModelConfig(d, e, m)
+    word = st.sampled_from(sym_words(d, 1))
+
+    def draw(b_slots, min_size=1):
+        key = st.tuples(st.integers(0, (1 << e) - 1), word, st.integers(0, (1 << d) - 1), b_slots)
+        return G(cfg, data.draw(st.dictionaries(key, _NONZERO, min_size=min_size, max_size=4)))
+
+    every_b = st.integers(0, (1 << d) - 1)
+    f, g = draw(every_b, min_size=2), draw(every_b)
+    for h in (draw(every_b), draw(st.just(0))):  # an End tensor, then a K_Tot operand
+        lhs, rhs = apply_end(apply_end(f, g), h), apply_end(f, apply_end(g, h))
+        if not (lhs.truncated or rhs.truncated):
+            assert lhs == rhs
+    assert tensorize(functools.partial(apply_end, f), cfg) == f
 
 
 def test_alternating_series_bound_raises():
@@ -150,6 +175,14 @@ def test_projections_split_the_embedding(cfg):
 def test_residue_series_factors_through_projection(cfg):
     for _key, f in basis(EndSpace(cfg)):
         assert r_residue(f) == i_h(pi_t(f)), _key
+
+
+def test_residue_keeps_the_flag_of_the_term_it_stops_on():
+    # at m = 0 the first step P_K δd_Ǩ of the unit column needs a symmetric letter
+    cfg = ModelConfig(1, 0, 0)
+    unit = G(cfg, {(0, (), 0, 0): F(1)})
+    res = r_residue(unit)
+    assert res == unit and res.truncated
 
 
 def test_pi_t_keeps_constant_column_blocks():

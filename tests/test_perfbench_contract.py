@@ -8,6 +8,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import koszul_perturb
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,14 +51,16 @@ def test_tracer_round_trip_and_workload_names(monkeypatch):
             obj = getattr(obj, part)
 
 
-def test_qsigma_sweep_round_keeps_its_seed_0_digest(monkeypatch):
-    # one checked round of the benchmark's q_σ workload on this package, without
+@pytest.mark.parametrize("name, want", [("qsigma_sweep", "d4eab95c6a9d4f88"),
+                                        ("connection_recursion", "a1073d64114a3664")])
+def test_workload_round_keeps_its_seed_0_digest(monkeypatch, name, want):
+    # one checked round of a benchmark workload on this package, without
     # worker._setup, which re-imports the package by clearing sys.modules
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import worker
     import workloads
 
-    workload = workloads.QSigmaSweep()
+    workload = workloads.WORKLOADS[name]
     out = worker._round(koszul_perturb, workload, workload.setup(koszul_perturb, 0), 0)
     assert out["verdict"].problems == [] and out["verdict"].failed == []
-    assert out["digest"] == "d4eab95c6a9d4f88"
+    assert out["digest"] == want

@@ -167,7 +167,8 @@ def test_cli_verify_rejects_oversized_config_before_allocating(capsys, suite, d,
     [("all", 4, 0, 4, "connection suite needs e >= 1"),
      ("all", 4, 1, 1, "connection suite needs m >= 2 (curvature is quadratic)"),
      ("all", 2, 0, 2, "connection suite needs e >= 1"),
-     ("todd", 3, 0, 1, "todd suite needs m >= 2 (curvature is quadratic)")],
+     ("todd", 3, 0, 1, "todd suite needs m >= 2 (curvature is quadratic)"),
+     ("hom", 1, 0, 0, "hom suite needs m >= 1 (no End column is truncation-safe at m = 0)")],
 )
 def test_cli_verify_rejects_unmet_precondition_before_building(capsys, suite, d, e, m, need):
     # (4,0,4) passes the size guard (dim End = 17,920), and building the koszul and hom
