@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, wire_int
 
 
 def bits(mask: int):
@@ -351,18 +351,16 @@ def terms_to_json(x: GradedElement):
 def _index_list(config: ModelConfig, term: dict, slot: str) -> list:
     """The slot's integer indices, range-checked before any mask is built."""
     value = term.get(slot, [])
-    if not isinstance(value, list) or any(type(i) is not int for i in value):
+    if not isinstance(value, list):
         raise ValueError(f"term slot {slot!r} must be a list of integers")
     top = config.e if slot == "w" else config.d
-    if any(not 1 <= i <= top for i in value):
+    if any(not 1 <= wire_int(i, f"term slot {slot!r} index") <= top for i in value):
         kind = "symmetric" if slot == "s" else "generator"
         raise ValueError(f"{kind} index out of range")
     return value
 
 
 def terms_from_json(config: ModelConfig, data) -> GradedElement:
-    if isinstance(data, dict) and "terms" in data:
-        data = data["terms"]
     if not isinstance(data, list):
         raise ValueError("element JSON must be a list of terms")
     acc = GradedElement.zero(config)

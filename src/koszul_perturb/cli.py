@@ -18,6 +18,7 @@ import sys
 
 from .algebra import ModelConfig, interior_product, terms_from_json, terms_to_json
 from .connection import CurvatureInput
+from .rational import load_json
 from .todd import q_sigma, todd_det, todd_exp
 from .verify import SUITES, _check_size, run_suite
 
@@ -74,10 +75,6 @@ def _load_curvature(path: str) -> CurvatureInput:
     return r
 
 
-def _todd_dict(tc) -> dict:
-    return json.loads(tc.to_json())
-
-
 def _cmd_verify(args) -> int:
     cfg = ModelConfig(args.d, args.e, args.m)
     report = run_suite(args.suite, cfg, seed=args.seed)
@@ -91,16 +88,16 @@ def _cmd_todd(args) -> int:
     _check_size("todd", cfg)
     code = 0
     if args.route == "exp":
-        payload = {"route": "exp", "todd": _todd_dict(todd_exp(r, cfg))}
+        payload = {"route": "exp", "todd": todd_exp(r, cfg).to_dict()}
     elif args.route == "det":
-        payload = {"route": "det", "todd": _todd_dict(todd_det(r, cfg))}
+        payload = {"route": "det", "todd": todd_det(r, cfg).to_dict()}
     else:
         via_exp = todd_exp(r, cfg)
         via_det = todd_det(r, cfg)
         agree = via_exp.value == via_det.value
-        payload = {"route": "both", "routes_agree": agree, "todd": _todd_dict(via_exp)}
+        payload = {"route": "both", "routes_agree": agree, "todd": via_exp.to_dict()}
         if not agree:
-            payload["todd_det"] = _todd_dict(via_det)
+            payload["todd_det"] = via_det.to_dict()
             code = 1
     if args.as_json:
         _emit(json.dumps(payload, indent=2), args.out)
@@ -118,7 +115,7 @@ def _cmd_q_sigma(args) -> int:
     cfg = ModelConfig(r.d, r.e, args.m)
     _check_size("q-sigma", cfg)
     with open(args.eta, encoding="utf-8") as fh:
-        eta = terms_from_json(cfg, json.load(fh))
+        eta = terms_from_json(cfg, load_json(fh.read()))
     if any(k[1] or k[2] for k in eta.terms):
         raise ValueError("eta must lie in ΛW ⊗ ∧V (no symmetric or ∧V∨ letters)")
     td = todd_exp(r, cfg)
@@ -155,7 +152,7 @@ def main(argv=None) -> int:
     handlers = {"verify": _cmd_verify, "todd": _cmd_todd, "q-sigma": _cmd_q_sigma}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 from .algebra import GradedElement, ModelConfig, sandwich
 from .homcomplex import extend_derivation
 from .koszul import d_k, p_k_tensor
-from .rational import format_rational, parse_rational
+from .rational import format_rational, load_json, parse_rational, wire_field, wire_int
 from .rng import SplitRng
 
 Operator = Callable[[GradedElement], GradedElement]
@@ -81,25 +81,19 @@ class CurvatureInput:
 
     @staticmethod
     def from_json(text: str) -> "CurvatureInput":
-        data = json.loads(text)
+        data = load_json(text)
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise ValueError("curvature JSON must be an object with an 'entries' list")
         coeffs = {}
         for item in data["entries"]:
             if not isinstance(item, dict):
                 raise ValueError("curvature entry must be an object")
-            key = tuple(_json_int(item, field) for field in "wijk")
+            key = tuple(wire_field(item, "curvature entry", field, wire_int) for field in "wijk")
             if key in coeffs:
                 raise ValueError(f"duplicate entry {key}")
-            coeffs[key] = parse_rational(item["c"])
-        return CurvatureInput.make(_json_int(data, "d"), _json_int(data, "e"), coeffs)
-
-
-def _json_int(obj: dict, field: str) -> int:
-    value = obj[field]
-    if type(value) is not int:
-        raise ValueError(f"curvature field {field!r} must be an integer")
-    return value
+            coeffs[key] = parse_rational(wire_field(item, "curvature entry", "c"))
+        d, e = (wire_field(data, "curvature", field, wire_int) for field in "de")
+        return CurvatureInput.make(d, e, coeffs)
 
 
 def random_curvature(rng: SplitRng, d: int, e: int) -> CurvatureInput:

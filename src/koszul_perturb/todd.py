@@ -133,12 +133,12 @@ class ToddClass:
     def component(self, j: int) -> GradedElement:
         return self.value.restrict(lambda k: k[0].bit_count() == j)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         cfg = self.config
-        return json.dumps(
-            {"d": cfg.d, "e": cfg.e, "m": cfg.m, "terms": terms_to_json(self.value)},
-            indent=2,
-        )
+        return {"d": cfg.d, "e": cfg.e, "m": cfg.m, "terms": terms_to_json(self.value)}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def todd_exp(r: CurvatureInput, cfg: ModelConfig) -> ToddClass:

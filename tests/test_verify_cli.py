@@ -1,10 +1,17 @@
 """Invariant-suite runner and the console entry point."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszul_perturb import ModelConfig, run_suite, verify
 from koszul_perturb.cli import main
@@ -361,3 +368,117 @@ def test_cli_verify_has_no_max_order_flag(capsys):
         main(["verify", "connection", "--max-order", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-order 2" in capsys.readouterr().err
+
+
+# -- the wire format of the two input files -------------------------------------------
+
+def _argv_with(tmp_path, slot, path):
+    """Feed the file `path` to one input slot; the other file of q-sigma is valid."""
+    if slot == "todd --input":
+        return ["todd", "--input", path]
+    r = path if slot == "q-sigma --input" else _r_rand(tmp_path)
+    eta = path if slot == "q-sigma --eta" else _write(tmp_path / "eta_ok.json", [{"b": [1, 2]}])
+    return ["q-sigma", "--input", r, "--eta", eta]
+
+
+_SLOTS = ["todd --input", "q-sigma --input", "q-sigma --eta"]
+
+
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_cli_rejects_too_deep_json_in_one_line(tmp_path, capsys, slot):
+    # the decoder raises RecursionError here, which is not a ValueError
+    deep = _write(tmp_path / "deep.json", "[" * 200_000)
+    assert main(_argv_with(tmp_path, slot, deep)) == 2
+    assert capsys.readouterr().err == "error: JSON nesting too deep to decode\n"
+
+
+@pytest.mark.parametrize(
+    "slot, payload",
+    [("todd --input", {"d": 1, "e": 1, "entries": [dict(_TERM, c=True)]}),
+     ("q-sigma --eta", [{"b": [1, 2], "c": True}])]
+    + [("todd --input", {"d": 1, "e": 1, "entries": [dict(_TERM, **{f: True})]}) for f in "wijk"]
+    + [("todd --input", dict({"d": 1, "e": 1, "entries": []}, **{f: True})) for f in "de"]
+    + [("q-sigma --eta", [{"b": [1], f: [True]}]) for f in "wsab"],
+    ids=["entry-c", "eta-c", "entry-w", "entry-i", "entry-j", "entry-k", "d", "e",
+         "eta-w", "eta-s", "eta-a", "eta-b"],
+)
+def test_cli_rejects_booleans_as_numbers_in_one_line(tmp_path, capsys, slot, payload):
+    # Python counts a bool as an int, so no integer or rational field may take true as 1
+    assert main(_argv_with(tmp_path, slot, _write(tmp_path / "in.json", payload))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what, field", [("curvature entry", f) for f in "cw"] + [("curvature", f) for f in "de"])
+def test_cli_names_a_missing_field(tmp_path, capsys, what, field):
+    curvature = {"d": 1, "e": 1, "entries": [dict(_TERM)]}
+    del (curvature["entries"][0] if what == "curvature entry" else curvature)[field]
+    assert main(["todd", "--input", _write(tmp_path / "r.json", curvature)]) == 2
+    assert capsys.readouterr().err == f"error: {what} is missing field {field!r}\n"
+
+
+def test_cli_lets_an_engine_error_raise(tmp_path, monkeypatch):
+    # only input errors exit 2; a KeyError from the engine is a bug and keeps its traceback
+    def broken(*args):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr("koszul_perturb.cli.todd_exp", broken)
+    with pytest.raises(KeyError, match="engine bug"):
+        main(["todd", "--input", _r_rand(tmp_path), "--route", "exp"])
+
+
+def test_cli_runs_the_readme_examples_verbatim(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    curvature, eta = (
+        re.search(r"```json\n(.*?)```", readme[readme.index(heading):], re.S)[1]
+        for heading in ("### `todd`", "### `q-sigma`")
+    )
+    r = _write(tmp_path / "curvature.json", curvature)
+    assert main(["todd", "--input", r]) == 0
+    assert json.loads(capsys.readouterr().out)["routes_agree"] is True
+    assert main(["q-sigma", "--input", r, "--eta", _write(tmp_path / "eta.json", eta)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equal"] is True and payload["asserted"] is True
+
+
+# Random trees, and trees shaped like each file with random indices and scalars,
+# so that the checks past the shape are reached too.
+_SCALARS = (st.none() | st.booleans() | st.integers(-1, 3) | st.just(10**8) | st.floats()
+            | st.sampled_from(["1", "-3/4", "2/0", "1e5", "x", ""]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["d", "e", "entries", "terms", *"wijkcsab"]), kids, max_size=6),
+    max_leaves=12,
+)
+_INDICES = st.integers(-1, 3)
+_CURVATURES = st.fixed_dictionaries({
+    "d": _INDICES, "e": _INDICES,
+    "entries": st.lists(st.fixed_dictionaries({**dict.fromkeys("wijk", _INDICES), "c": _SCALARS}), max_size=3),
+})
+_ETAS = st.lists(st.fixed_dictionaries(
+    {}, optional={**dict.fromkeys("wsab", st.lists(_INDICES, max_size=3)), "c": _SCALARS}
+), max_size=3)
+
+
+@settings(max_examples=40)
+@given(raw=(_TREES | _CURVATURES | _ETAS).map(lambda tree: json.dumps(tree).encode()))
+@example(raw=b"\xff\xfe[]")  # not UTF-8
+def test_cli_fuzz_contract(raw):
+    # every input exits 0, 1 or 2 and raises nothing; a rejection is one line and allocates little
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        (tmp_path / "in.json").write_bytes(raw)
+        for slot in _SLOTS:
+            out, err = io.StringIO(), io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(_argv_with(tmp_path, slot, str(tmp_path / "in.json")))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert peak < 1 << 20
